@@ -29,17 +29,20 @@
 //! fleet --scenario ./my-pack.json --checkpoint /tmp/run.dhsp
 //! ```
 
+use std::ops::ControlFlow;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use deep_healing::fault::FaultPlan;
+use deep_healing::fault::{FaultPlan, MAX_KEEP};
 use deep_healing::fleet::{
     run_fleet, run_fleet_checkpointed_with, run_fleet_supervised_with, CheckpointMode,
     CheckpointStore, FleetConfig, FleetPolicy, MaintenanceBudget,
 };
 use dh_bench::banner;
 use dh_exec::RetryPolicy;
-use dh_scenario::{run_pack_supervised, ScenarioCheckpointStore, ScenarioRegistry, ScenarioRun};
+use dh_scenario::{
+    drive_scenario, run_pack_supervised, ScenarioCheckpointStore, ScenarioRegistry, ScenarioRun,
+};
 
 const USAGE: &str = "\
 usage: fleet [flags]
@@ -61,7 +64,7 @@ usage: fleet [flags]
                         see dh-fault for the spec grammar)
   --inject-seed N       fault-stream seed  (default: --seed / the pack seed)
   --retry N             attempts per shard before quarantine (default 3)
-  --keep N              checkpoint generations retained  (default 3)
+  --keep N              checkpoint generations retained  (default 3, max 64)
   --fail-on-degraded    exit 3 when the run finishes with a non-empty
                         degraded report (for CI gating)
   --scenario NAME|PATH  run a dh-scenario pack instead of a fleet config
@@ -174,7 +177,12 @@ fn parse_args() -> Result<Args, String> {
             "--inject" => inject = Some(value),
             "--inject-seed" => inject_seed = Some(value.parse().map_err(|e| bad(&e))?),
             "--retry" => retry = value.parse().map_err(|e| bad(&e))?,
-            "--keep" => keep = value.parse().map_err(|e| bad(&e))?,
+            "--keep" => {
+                keep = value.parse().map_err(|e| bad(&e))?;
+                if keep > MAX_KEEP {
+                    return Err(bad(&format_args!("at most {MAX_KEEP} generations")));
+                }
+            }
             "--scenario" => scenario = Some(value),
             "--scenario-dir" => scenario_dir = Some(value.into()),
             "--epochs" => epochs = Some(value.parse().map_err(|e| bad(&e))?),
@@ -351,14 +359,21 @@ fn run_scenario(args: &Args, arg: &str) -> ExitCode {
     };
 
     let started = Instant::now();
-    let batch = args.checkpoint_every.max(1) as usize;
-    while !run.progress().done {
-        run.step(batch);
-        if let Some(path) = &args.checkpoint {
-            if let Err(why) = run.save_checkpoint(path) {
-                eprintln!("error: {why}");
-                return ExitCode::FAILURE;
-            }
+    if !run.progress().done {
+        let store = args
+            .checkpoint
+            .as_ref()
+            .map(|path| ScenarioCheckpointStore::new(path, 1));
+        let driven = drive_scenario(
+            &mut run,
+            args.checkpoint_every.max(1),
+            None,
+            store.as_ref().map(|store| (store, 1)),
+            |_| ControlFlow::Continue(()),
+        );
+        if let Err(why) = driven {
+            eprintln!("error: {why}");
+            return ExitCode::FAILURE;
         }
     }
     let elapsed = started.elapsed().as_secs_f64();

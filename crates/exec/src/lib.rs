@@ -18,6 +18,9 @@
 //!    one fixed chunk) at a time from an atomic counter, so free workers
 //!    always pull the next pending item.
 //!
+//! [`drive`] is the one checkpointed run loop every long-running engine
+//! shares: step, write, report progress, repeat.
+//!
 //! The [`Memo`] cache rounds this out: expensive fitted artifacts (the
 //! CET emission-CDF knot fit, most prominently) are computed once per
 //! distinct key and shared behind an [`std::sync::Arc`].
@@ -28,10 +31,12 @@
 
 #![warn(missing_docs)]
 
+mod drive;
 mod memo;
 mod pool;
 mod supervise;
 
+pub use drive::{drive, CheckpointSink, Checkpoints, Driven, Steppable, Supervision};
 pub use memo::{Memo, MEMO_DEFAULT_CAPACITY};
 pub use pool::{
     max_threads, par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_indexed,

@@ -1,24 +1,10 @@
-//! The structured record of everything a supervised run survived.
+//! The structured record of everything a supervised run survived, and
+//! its wire encoding (the degraded-state section every checkpoint
+//! format embeds).
 
 use core::fmt;
 
-/// FNV-1a 64-bit offset basis (kept local: this crate sits below the
-/// fleet wire module on purpose).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-fn fnv1a_u64(hash: u64, v: u64) -> u64 {
-    fnv1a(hash, &v.to_le_bytes())
-}
+use crate::wire::{fnv1a, fnv1a_u64, put_str, put_u64, take_str, take_u64, WireError, FNV_OFFSET};
 
 /// The ways an aging sensor misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,6 +202,103 @@ impl DegradedReport {
         self.checkpoint_fallbacks.extend(other.checkpoint_fallbacks);
         self.disk_incidents.extend(other.disk_incidents);
         self.retention_trims += other.retention_trims;
+    }
+
+    /// Appends the wire encoding: counts, then each list length-prefixed,
+    /// disk incidents and retention trims last.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.retries);
+        put_u64(buf, self.rejected_samples);
+        put_u64(buf, self.quarantined.len() as u64);
+        for q in &self.quarantined {
+            put_u64(buf, q.shard);
+            put_u64(buf, u64::from(q.attempts));
+            put_str(buf, &q.error);
+        }
+        put_u64(buf, self.sensor_incidents.len() as u64);
+        for s in &self.sensor_incidents {
+            put_u64(buf, s.chip);
+            put_u64(buf, u64::from(s.kind.discriminant()));
+            put_u64(buf, s.kind.payload().to_bits());
+            put_u64(buf, s.epoch);
+        }
+        put_u64(buf, self.checkpoint_fallbacks.len() as u64);
+        for c in &self.checkpoint_fallbacks {
+            put_u64(buf, c.generation);
+            put_str(buf, &c.reason);
+        }
+        put_u64(buf, self.disk_incidents.len() as u64);
+        for i in &self.disk_incidents {
+            put_u64(buf, u64::from(i.kind.discriminant()));
+            put_u64(buf, i.write_index);
+        }
+        put_u64(buf, self.retention_trims);
+    }
+
+    /// Reads a report written by [`DegradedReport::encode`] back from the
+    /// front of `bytes`. Lists grow one decoded element at a time, so a
+    /// forged count costs no allocation beyond the bytes actually present.
+    ///
+    /// With `disk_optional`, a section that ends right before the disk
+    /// fields (written before disk-fault tracking existed) decodes with
+    /// empty disk fields instead of failing.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncation, a non-UTF-8 string, or an unknown
+    /// fault discriminant.
+    pub fn decode(bytes: &mut &[u8], disk_optional: bool) -> Result<Self, WireError> {
+        let mut d = Self {
+            retries: take_u64(bytes, "degraded.retries")?,
+            rejected_samples: take_u64(bytes, "degraded.rejected")?,
+            ..Self::default()
+        };
+        let n = take_u64(bytes, "degraded.quarantined.len")?;
+        for _ in 0..n {
+            d.quarantined.push(ShardFailure {
+                shard: take_u64(bytes, "degraded.quarantined.shard")?,
+                attempts: take_u64(bytes, "degraded.quarantined.attempts")? as u32,
+                error: take_str(bytes, "degraded.quarantined.error")?,
+            });
+        }
+        let n = take_u64(bytes, "degraded.incidents.len")?;
+        for _ in 0..n {
+            let chip = take_u64(bytes, "degraded.incidents.chip")?;
+            let disc = take_u64(bytes, "degraded.incidents.kind")?;
+            let payload = f64::from_bits(take_u64(bytes, "degraded.incidents.payload")?);
+            let epoch = take_u64(bytes, "degraded.incidents.epoch")?;
+            let kind = SensorFaultKind::from_wire(disc as u8, payload).ok_or(
+                WireError::UnknownDiscriminant {
+                    kind: "sensor-fault",
+                    value: disc,
+                },
+            )?;
+            d.sensor_incidents
+                .push(SensorIncident { chip, kind, epoch });
+        }
+        let n = take_u64(bytes, "degraded.fallbacks.len")?;
+        for _ in 0..n {
+            d.checkpoint_fallbacks.push(CheckpointFallback {
+                generation: take_u64(bytes, "degraded.fallbacks.generation")?,
+                reason: take_str(bytes, "degraded.fallbacks.reason")?,
+            });
+        }
+        if disk_optional && bytes.is_empty() {
+            return Ok(d);
+        }
+        let n = take_u64(bytes, "degraded.disk.len")?;
+        for _ in 0..n {
+            let disc = take_u64(bytes, "degraded.disk.kind")?;
+            let write_index = take_u64(bytes, "degraded.disk.write_index")?;
+            let kind =
+                DiskFaultKind::from_wire(disc as u8).ok_or(WireError::UnknownDiscriminant {
+                    kind: "disk-fault",
+                    value: disc,
+                })?;
+            d.disk_incidents.push(DiskIncident { kind, write_index });
+        }
+        d.retention_trims = take_u64(bytes, "degraded.trims")?;
+        Ok(d)
     }
 
     /// A stable FNV-1a fingerprint over every field — the golden value

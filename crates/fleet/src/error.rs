@@ -76,3 +76,15 @@ impl fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+impl From<dh_fault::wire::WireError> for FleetError {
+    fn from(e: dh_fault::wire::WireError) -> Self {
+        Self::Corrupt(e.to_string())
+    }
+}
+
+impl From<dh_fault::StoreError> for FleetError {
+    fn from(e: dh_fault::StoreError) -> Self {
+        Self::Io(e.to_string())
+    }
+}

@@ -59,16 +59,16 @@ pub mod policy;
 pub mod sim;
 pub mod stats;
 pub(crate) mod store;
-pub(crate) mod wire;
 
-pub use checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot, WriteOutcome};
+pub use checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot};
 pub use chip::{ChipOutcome, ChipSpec, VariationModel, SENSOR_STALE_EPOCHS};
+pub use dh_fault::WriteOutcome;
 pub use error::FleetError;
 pub use policy::{FleetPolicy, MaintenanceBudget};
 pub use sim::{
-    run_fleet, run_fleet_checkpointed, run_fleet_checkpointed_with, run_fleet_reference,
-    run_fleet_supervised, run_fleet_supervised_with, FleetConfig, FleetProgress, FleetReport,
-    FleetRun,
+    drive_fleet, run_fleet, run_fleet_checkpointed, run_fleet_checkpointed_with,
+    run_fleet_reference, run_fleet_supervised, run_fleet_supervised_with, FleetConfig,
+    FleetProgress, FleetReport, FleetRun,
 };
 pub use stats::{NonFinite, P2Quantile, StreamingMoments, StreamingSummary, SummaryStats};
 pub use store::StoreView;

@@ -24,16 +24,18 @@
 //! in the exact same order as the strict path, so its report fingerprint
 //! is bit-identical to the baseline.
 
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dh_circuit::RingOscillator;
 use dh_em::black::BlackModel;
-use dh_exec::RetryPolicy;
+use dh_exec::{CheckpointSink, Driven, RetryPolicy, Steppable, Supervision};
+use dh_fault::wire::{fnv1a, fnv1a_f64, fnv1a_u64, put_u64, take_u64, FNV_OFFSET};
 use dh_fault::{DegradedReport, FaultPlan, SensorFaultKind, SensorIncident, ShardFailure};
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
-use crate::checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot};
+use crate::checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot, SyncWriter};
 use crate::chip::{ChipContext, ChipOutcome, ChipSpec, ChipState, VariationModel};
 use crate::error::FleetError;
 use crate::kernel::{
@@ -42,7 +44,6 @@ use crate::kernel::{
 use crate::policy::{FleetPolicy, MaintenanceBudget};
 use crate::stats::{StreamingSummary, SummaryStats};
 use crate::store::{ChipStore, ColumnarCtx, StoreView, ALIVE};
-use crate::wire::{fnv1a, fnv1a_f64, fnv1a_u64, put_u64, take_u64, FNV_OFFSET};
 
 /// Everything that defines a fleet run. Two configs with the same
 /// [`FleetConfig::fingerprint`] produce byte-identical reports.
@@ -949,6 +950,30 @@ impl FleetRun {
     }
 }
 
+impl Steppable for FleetRun {
+    type Checkpoint = Snapshot;
+    type Error = FleetError;
+
+    fn step_units(
+        &mut self,
+        units: u64,
+        supervision: Option<Supervision<'_>>,
+    ) -> Result<bool, FleetError> {
+        match supervision {
+            Some(s) => Ok(self.step_supervised(units, s.plan, s.retry)),
+            None => self.step(units),
+        }
+    }
+
+    fn checkpoint(&self) -> Snapshot {
+        self.snapshot()
+    }
+
+    fn degraded_mut(&mut self) -> &mut DegradedReport {
+        &mut self.degraded
+    }
+}
+
 /// A point-in-time view of a running fleet simulation, as exposed to
 /// progress consumers (the `dh-serve` daemon's status and SSE
 /// endpoints). Unlike a [`FleetReport`] this can be taken mid-run; the
@@ -1161,23 +1186,14 @@ pub fn run_fleet_checkpointed_with(
         Some(snapshot) => FleetRun::resume(config, snapshot)?,
         None => FleetRun::new(config)?,
     };
-    match mode {
-        CheckpointMode::Sync => {
-            while !run.step(every_shards.max(1))? {
-                run.snapshot().write(path)?;
-            }
-            run.snapshot().write(path)?;
-        }
-        CheckpointMode::Async => {
-            let store = CheckpointStore::new(path, 1);
-            let mut writer = AsyncCheckpointer::spawn(store, None);
-            while !run.step(every_shards.max(1))? {
-                writer.submit(run.snapshot())?;
-            }
-            writer.submit(run.snapshot())?;
-            writer.finish()?;
-        }
-    }
+    let store = CheckpointStore::new(path, 1);
+    drive_fleet(
+        &mut run,
+        every_shards.max(1),
+        None,
+        Some((&store, mode)),
+        |_| ControlFlow::Continue(()),
+    )?;
     run.report()
 }
 
@@ -1230,47 +1246,59 @@ pub fn run_fleet_supervised_with(
         Some((store, _)) => FleetRun::resume_from_store(config, store)?,
         None => FleetRun::new(config)?,
     };
-    match checkpoints {
-        // Write indices count this process's writes from 0, so an
-        // injected `ckpt-flip=N` plan corrupts the same generations
-        // on every identically-seeded invocation, in either mode.
-        // Disk incidents are absorbed only after the final write, so
-        // persisted snapshots never contain this process's own disk
-        // report and both modes stay byte-identical on disk.
-        Some((store, every)) => match mode {
-            CheckpointMode::Sync => {
-                let mut write_index = 0u64;
-                let mut scratch = Vec::new();
-                let mut disk = DegradedReport::default();
-                while !run.step_supervised(every.max(1), plan, retry) {
-                    let outcome = store.write_injected_with(
-                        &run.snapshot(),
-                        plan,
-                        write_index,
-                        &mut scratch,
-                    )?;
-                    disk.absorb(outcome.disk);
-                    write_index += 1;
-                }
-                let outcome =
-                    store.write_injected_with(&run.snapshot(), plan, write_index, &mut scratch)?;
-                disk.absorb(outcome.disk);
-                run.degraded.absorb(disk);
-            }
-            CheckpointMode::Async => {
-                let mut writer = AsyncCheckpointer::spawn((*store).clone(), plan.cloned());
-                while !run.step_supervised(every.max(1), plan, retry) {
-                    writer.submit(run.snapshot())?;
-                }
-                writer.submit(run.snapshot())?;
-                let disk = writer.finish()?;
-                run.degraded.absorb(disk);
-            }
-        },
-        None => while !run.step_supervised(u64::MAX, plan, retry) {},
-    }
+    let units = checkpoints.map_or(u64::MAX, |(_, every)| every.max(1));
+    drive_fleet(
+        &mut run,
+        units,
+        Some(Supervision { plan, retry }),
+        checkpoints.map(|(store, _)| (store, mode)),
+        |_| ControlFlow::Continue(()),
+    )?;
     let report = run.report()?;
     Ok((report, run.degraded))
+}
+
+/// Drives `run` through [`dh_exec::drive`] in steps of `units` shards —
+/// supervised when `supervision` is given, strict otherwise — with a
+/// snapshot written after every step through `checkpoints` in the chosen
+/// [`CheckpointMode`] (the supervision's fault plan also injects into
+/// those writes), and `on_step` called after each step and its write.
+///
+/// This is the loop the library runners and the `dh-serve` daemon share,
+/// so a run leaves the same generations on disk whichever surface drove
+/// it. Both modes feed the same write-index sequence to the same
+/// rotate-then-atomic-write path and fold the writers' disk incidents
+/// into the degraded report only after the final write.
+///
+/// # Errors
+///
+/// A strict step's error or a genuine checkpoint I/O failure.
+pub fn drive_fleet(
+    run: &mut FleetRun,
+    units: u64,
+    supervision: Option<Supervision<'_>>,
+    checkpoints: Option<(&CheckpointStore, CheckpointMode)>,
+    on_step: impl FnMut(&FleetRun) -> ControlFlow<()>,
+) -> Result<Driven, FleetError> {
+    let plan = supervision.and_then(|s| s.plan);
+    let mut sync;
+    let mut background;
+    let sink: Option<&mut dyn CheckpointSink<Snapshot, FleetError>> = match checkpoints {
+        None => None,
+        Some((store, CheckpointMode::Sync)) => {
+            sync = SyncWriter {
+                store,
+                plan,
+                scratch: Vec::new(),
+            };
+            Some(&mut sync)
+        }
+        Some((store, CheckpointMode::Async)) => {
+            background = AsyncCheckpointer::spawn(store.clone(), plan.cloned());
+            Some(&mut background)
+        }
+    };
+    dh_exec::drive(run, units, supervision, sink.map(|s| (s, 1)), on_step)
 }
 
 #[cfg(test)]

@@ -83,6 +83,30 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl From<dh_fault::wire::WireError> for ScenarioError {
+    /// DHSP words its string faults its own way; fallback reasons (and
+    /// so degraded-report fingerprints) carry these texts verbatim.
+    fn from(e: dh_fault::wire::WireError) -> Self {
+        use dh_fault::wire::WireError;
+        Self::Corrupt(match e {
+            WireError::StringTruncated { what, len, left } => {
+                format!("truncated while reading {what}: {len} bytes claimed, {left} left")
+            }
+            WireError::NotUtf8 { what } => format!("{what} is not UTF-8"),
+            other => other.to_string(),
+        })
+    }
+}
+
+impl From<dh_fault::StoreError> for ScenarioError {
+    fn from(e: dh_fault::StoreError) -> Self {
+        Self::Io {
+            path: e.path.display().to_string(),
+            why: e.error.to_string(),
+        }
+    }
+}
+
 /// Shorthand constructor for [`ScenarioError::Schema`].
 pub(crate) fn schema(field: impl Into<String>, why: impl Into<String>) -> ScenarioError {
     ScenarioError::Schema {

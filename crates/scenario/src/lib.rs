@@ -48,6 +48,6 @@ pub use pack::{
 };
 pub use registry::{load_pack_file, PackSource, RegisteredPack, ScenarioRegistry};
 pub use run::{
-    run_pack, run_pack_supervised, CheckpointWrite, GroupReport, Progress, ScenarioCheckpointStore,
+    drive_scenario, run_pack, run_pack_supervised, GroupReport, Progress, ScenarioCheckpointStore,
     ScenarioReport, ScenarioRun,
 };

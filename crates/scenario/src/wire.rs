@@ -1,75 +1,10 @@
-//! Little-endian encode/decode primitives and FNV-1a hashing for the
-//! scenario checkpoint format and pack fingerprints.
-//!
-//! These mirror `dh-fleet`'s private wire module (same byte order, same
-//! hash, same f64-as-bit-pattern discipline) so the two checkpoint
-//! families stay idiom-compatible, but the fleet copies are
-//! `pub(crate)` by design — each format owns its primitives.
+//! Wire primitives for the scenario checkpoint format and pack
+//! fingerprints: the workspace-wide ones from [`dh_fault::wire`], plus
+//! the hashed per-element draws packs spread variation with.
 
-use crate::error::ScenarioError;
-
-/// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a hash.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Folds one `u64` (little-endian) into a running FNV-1a hash.
-pub(crate) fn fnv1a_u64(hash: u64, v: u64) -> u64 {
-    fnv1a(hash, &v.to_le_bytes())
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-pub(crate) fn take_u64(bytes: &mut &[u8], what: &str) -> Result<u64, ScenarioError> {
-    if bytes.len() < 8 {
-        return Err(ScenarioError::Corrupt(format!(
-            "truncated while reading {what}: {} bytes left",
-            bytes.len()
-        )));
-    }
-    let (head, rest) = bytes.split_at(8);
-    *bytes = rest;
-    Ok(u64::from_le_bytes(head.try_into().expect("8-byte split")))
-}
-
-pub(crate) fn take_f64(bytes: &mut &[u8], what: &str) -> Result<f64, ScenarioError> {
-    take_u64(bytes, what).map(f64::from_bits)
-}
-
-/// Length-prefixed UTF-8 string.
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn take_str(bytes: &mut &[u8], what: &str) -> Result<String, ScenarioError> {
-    let len = take_u64(bytes, what)? as usize;
-    if bytes.len() < len {
-        return Err(ScenarioError::Corrupt(format!(
-            "truncated while reading {what}: {len} bytes claimed, {} left",
-            bytes.len()
-        )));
-    }
-    let (head, rest) = bytes.split_at(len);
-    *bytes = rest;
-    String::from_utf8(head.to_vec())
-        .map_err(|_| ScenarioError::Corrupt(format!("{what} is not UTF-8")))
-}
+pub(crate) use dh_fault::wire::{
+    fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, FNV_OFFSET,
+};
 
 /// A deterministic per-element unit draw in `[0, 1)`: hash of
 /// `(seed, label, index)` through FNV-1a, top 53 bits as the mantissa.
@@ -83,32 +18,6 @@ pub(crate) fn unit_hash(seed: u64, label: &str, index: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips_bit_patterns() {
-        let mut buf = Vec::new();
-        put_u64(&mut buf, u64::MAX);
-        put_f64(&mut buf, -0.0);
-        put_f64(&mut buf, f64::NAN);
-        let mut view = buf.as_slice();
-        assert_eq!(take_u64(&mut view, "a").unwrap(), u64::MAX);
-        assert_eq!(
-            take_f64(&mut view, "b").unwrap().to_bits(),
-            (-0.0f64).to_bits()
-        );
-        assert_eq!(
-            take_f64(&mut view, "c").unwrap().to_bits(),
-            f64::NAN.to_bits()
-        );
-        assert!(view.is_empty());
-        assert!(take_u64(&mut view, "d").is_err());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn unit_hash_is_deterministic_and_in_range() {

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use dh_fault::FaultPlan;
+use dh_fault::{FaultPlan, MAX_KEEP};
 use dh_fleet::{CheckpointMode, FleetConfig, FleetPolicy, MaintenanceBudget};
 use dh_scenario::{ScenarioPack, ScenarioRegistry};
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
@@ -239,7 +239,9 @@ fn parse_config(obj: &Json, workers: usize) -> Result<FleetConfig, ServeError> {
 
 /// Checkpoint names become file names under the daemon's data dir, so
 /// only a conservative character set is allowed — no separators, no
-/// dotfiles, nothing that could escape the directory.
+/// dotfiles, nothing that could escape the directory — and nothing the
+/// daemon names itself: job meta files (`*.meta.json`) and the temp
+/// files writes stage through (`*.tmp`).
 fn parse_checkpoint_name(name: &str) -> Result<String, ServeError> {
     let ok = !name.is_empty()
         && name.len() <= 128
@@ -247,13 +249,17 @@ fn parse_checkpoint_name(name: &str) -> Result<String, ServeError> {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
-    if ok {
-        Ok(name.to_string())
-    } else {
-        Err(bad(format!(
+    if !ok {
+        return Err(bad(format!(
             "`checkpoint` name {name:?} must be 1-128 chars of [A-Za-z0-9._-] and not start with a dot"
-        )))
+        )));
     }
+    if name.ends_with(".meta.json") || name.ends_with(".tmp") {
+        return Err(bad(format!(
+            "`checkpoint` name {name:?} collides with daemon files (*.meta.json, *.tmp)"
+        )));
+    }
+    Ok(name.to_string())
 }
 
 /// Parses a `POST /jobs` body into a validated [`JobSpec`].
@@ -332,7 +338,12 @@ pub fn parse_job_spec(
                 checkpoint_every = need_u64(value, key)?.max(1);
             }
             "keep" => {
-                keep = need_u64(value, key)?.max(1) as usize;
+                keep = match need_u64(value, key)? {
+                    n if n > MAX_KEEP as u64 => {
+                        return Err(bad(format!("`keep` must be at most {MAX_KEEP}")));
+                    }
+                    n => n.max(1) as usize,
+                };
             }
             "checkpoint_mode" => {
                 let name = value
@@ -455,6 +466,9 @@ mod tests {
             r#"{"config": {"devices": -3}}"#,
             r#"{"config": {"devices": 64}, "checkpoint": "../escape"}"#,
             r#"{"config": {"devices": 64}, "checkpoint": ".hidden"}"#,
+            r#"{"config": {"devices": 64}, "checkpoint": "job-1.meta.json"}"#,
+            r#"{"config": {"devices": 64}, "checkpoint": "run.dhfl.tmp"}"#,
+            r#"{"config": {"devices": 64}, "keep": 1000000000000}"#,
             r#"{}"#,
         ] {
             let err = parse(body).unwrap_err();
