@@ -444,6 +444,28 @@ mod tests {
     }
 
     #[test]
+    fn advance_wearout_is_bit_identical_to_the_composition() {
+        // The fused step evaluates the amplitude scale once; the doc
+        // promises the same bits as reconstructing the age and re-evaluating
+        // the power law, including at zero/negative wearout and zero `dt`.
+        let law = StressLaw::default();
+        for cond in [StressCondition::ACCELERATED, StressCondition::NOMINAL_USE] {
+            for w in [0.0, -1.0, 1e-6, 0.1, 1.0, 10.0, 40.0] {
+                for dt in [0.0, 1.0, 60.0, 3600.0, 86_400.0, 3.15e7] {
+                    let dt = Seconds::new(dt);
+                    let fused = law.advance_wearout(w, dt, cond);
+                    let composed = law.wearout_mv(law.equivalent_age(w, cond) + dt, cond);
+                    assert_eq!(
+                        fused.to_bits(),
+                        composed.to_bits(),
+                        "w {w} dt {dt:?} cond {cond:?}: {fused} vs {composed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hardened_share_increases_with_window() {
         let model = AnalyticBtiModel::paper_calibrated();
         let h1 = model.hardened_share(Seconds::from_hours(1.0)).value();

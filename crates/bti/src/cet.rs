@@ -151,8 +151,8 @@ static CALIBRATION_FIT_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of emission-CDF knot fits executed so far in this process.
 /// Cache hits in the calibration memo do not increment this — the
-/// counter exists so tests and `perf_snapshot` can verify the fit runs
-/// once per distinct target set.
+/// counter exists so tests (`calibration_fit_is_memoized`) can verify the
+/// fit runs once per distinct target set.
 pub fn calibration_fit_runs() -> u64 {
     CALIBRATION_FIT_RUNS.load(Ordering::SeqCst)
 }
@@ -405,8 +405,8 @@ dh_simd::dispatch! {
 thread_local! {
     /// Reusable gate-trajectory buffer: `stress` fills it once per call,
     /// keeping the hot path allocation-free after the first call on each
-    /// thread (the baselines `stress_pr2`/`stress_pr1` deliberately keep
-    /// their per-call allocation for the bench comparison).
+    /// thread (the libm oracle `stress_libm_reference` keeps a per-call
+    /// allocation; it is a test reference, not a hot path).
     static GATES_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -765,12 +765,13 @@ impl TrapEnsemble {
         self.window += Seconds::new(sub * steps as f64);
     }
 
-    /// The PR 2 SoA stress kernel (per-trap scalar loop, libm `exp_m1`,
-    /// per-trap saturated fast path, allocating gate trajectory): kept as
-    /// the measured baseline for `perf_snapshot`'s SIMD speedup row. Not
-    /// part of the API.
+    /// Per-element libm oracle for [`TrapEnsemble::stress`]: the same
+    /// SoA columns, schedule and saturated fast path, evaluated per trap
+    /// with libm `exp_m1` instead of the `dh-simd` polynomial.
+    /// `tests/simd_kernels.rs` pins the SIMD kernel against it trap by
+    /// trap at 1e-12. Not part of the API.
     #[doc(hidden)]
-    pub fn stress_pr2(&mut self, dt: Seconds, cond: StressCondition) {
+    pub fn stress_libm_reference(&mut self, dt: Seconds, cond: StressCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
         }
@@ -789,7 +790,6 @@ impl TrapEnsemble {
                 let offset = ci * TRAP_CHUNK;
                 let capture = &capture_base[offset..offset + soft.len()];
                 let deepw = &deep[offset..offset + soft.len()];
-                let mut saturated: u64 = 0;
                 for ((s, h), (&c, &d)) in soft
                     .iter_mut()
                     .zip(hard.iter_mut())
@@ -803,7 +803,6 @@ impl TrapEnsemble {
                     // The gate trajectory is non-decreasing, so the first
                     // step has the smallest capture exponent.
                     if x_shallow + x_deep * first_gate >= EXP_SATURATE {
-                        saturated += 1;
                         for &gate in &gates {
                             os += 1.0 - os - oh;
                             let harden = os * harden_scale * gate;
@@ -824,7 +823,6 @@ impl TrapEnsemble {
                     *s = os;
                     *h = oh;
                 }
-                saturated
             },
         );
         self.window += Seconds::new(sub * steps as f64);
@@ -866,51 +864,6 @@ impl TrapEnsemble {
         self.window += Seconds::new(sub * steps as f64);
     }
 
-    /// The PR 1 stress kernel (fixed 900 s stride, per-trap `powf` and
-    /// sigmoid hoisted out of the step loop, parallel chunks): kept as the
-    /// measured baseline for `perf_snapshot`'s pr1-vs-pr2 comparison. Not
-    /// part of the API.
-    #[doc(hidden)]
-    pub fn stress_pr1(&mut self, dt: Seconds, cond: StressCondition) {
-        if !(dt.value() > 0.0) || !cond.is_finite() {
-            return;
-        }
-        let steps = ((dt.value() / 900.0).ceil() as usize).clamp(1, 400);
-        let sub = dt.value() / steps as f64;
-        let amp = self.capture_amplitude(cond);
-        let tau_onset = self.permanent.tau_onset.value();
-        let m = self.permanent.m;
-        let window0 = self.window.value();
-        let gates: Vec<f64> = (0..steps)
-            .map(|k| gate_value(window0 + (k as f64 + 0.5) * sub, tau_onset, m))
-            .collect();
-        let harden_step = 1.0 - (-sub / self.permanent.tau_harden.value()).exp();
-        let deep_edge = self.deep_edge;
-        let log_tau_e = &self.log_tau_e;
-        let log_tau_c = &self.log_tau_c;
-        dh_exec::par_chunks_mut2(
-            &mut self.occ_soft,
-            &mut self.occ_hard,
-            TRAP_CHUNK,
-            |ci, soft, hard| {
-                let offset = ci * TRAP_CHUNK;
-                for (j, (s, h)) in soft.iter_mut().zip(hard.iter_mut()).enumerate() {
-                    let deep = deep_weight_at(deep_edge, log_tau_e[offset + j]);
-                    let base_rate = amp / 10f64.powf(log_tau_c[offset + j]);
-                    for &gate in &gates {
-                        let rate = base_rate * ((1.0 - deep) + deep * gate);
-                        let captured = (1.0 - *s - *h) * (1.0 - (-rate * sub).exp());
-                        *s += captured;
-                        let harden = *s * deep * gate * harden_step;
-                        *s -= harden;
-                        *h += harden;
-                    }
-                }
-            },
-        );
-        self.window += Seconds::new(sub * steps as f64);
-    }
-
     /// Applies `dt` of recovery at `cond`.
     ///
     /// One exponential per trap over the precomputed emission-rate column,
@@ -942,11 +895,12 @@ impl TrapEnsemble {
         self.window = self.window * (-depth * dt_s / self.permanent.tau_window_reset.value()).exp();
     }
 
-    /// The PR 2 recovery kernel (libm `exp`, explicit underflow store):
-    /// kept as the measured baseline for `perf_snapshot`. Not part of the
+    /// Per-element libm oracle for [`TrapEnsemble::recover`] (libm `exp`,
+    /// explicit underflow store): `tests/simd_kernels.rs` pins the SIMD
+    /// `exp(−x)` kernel against it trap by trap at 1e-12. Not part of the
     /// API.
     #[doc(hidden)]
-    pub fn recover_pr2(&mut self, dt: Seconds, cond: RecoveryCondition) {
+    pub fn recover_libm_reference(&mut self, dt: Seconds, cond: RecoveryCondition) {
         if !(dt.value() > 0.0) || !cond.is_finite() {
             return;
         }
@@ -1334,52 +1288,34 @@ mod tests {
     }
 
     #[test]
-    fn pr2_baseline_kernel_stays_within_tolerance() {
-        // The retained PR 2 kernel (libm exp_m1/exp) and the SIMD
-        // polynomial kernel differ by a few ulp per step; the aggregates
-        // must stay inside the same 1e-12 budget as the scalar reference.
+    fn libm_reference_kernel_stays_within_tolerance() {
+        // The libm oracle (exp_m1/exp) and the SIMD polynomial kernel
+        // differ by a few ulp per step; the aggregates must stay inside
+        // the same 1e-12 budget as the scalar reference.
         let mut new = ensemble();
-        let mut pr2 = ensemble();
+        let mut libm = ensemble();
         for _ in 0..4 {
             new.stress(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-            pr2.stress_pr2(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
+            libm.stress_libm_reference(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
             new.recover(
                 Seconds::from_minutes(30.0),
                 RecoveryCondition::ACTIVE_ACCELERATED,
             );
-            pr2.recover_pr2(
+            libm.recover_libm_reference(
                 Seconds::from_minutes(30.0),
                 RecoveryCondition::ACTIVE_ACCELERATED,
             );
         }
         assert!(
-            rel_diff(new.delta_vth_mv(), pr2.delta_vth_mv()) < 1e-12,
-            "SIMD {} vs pr2 {}",
+            rel_diff(new.delta_vth_mv(), libm.delta_vth_mv()) < 1e-12,
+            "SIMD {} vs libm {}",
             new.delta_vth_mv(),
-            pr2.delta_vth_mv()
+            libm.delta_vth_mv()
         );
         assert!(
-            (new.permanent_mv() - pr2.permanent_mv()).abs()
-                <= 1e-12 * pr2.permanent_mv().abs().max(1.0),
+            (new.permanent_mv() - libm.permanent_mv()).abs()
+                <= 1e-12 * libm.permanent_mv().abs().max(1.0),
             "permanent diverged"
-        );
-    }
-
-    #[test]
-    fn pr1_fixed_stride_kernel_stays_close() {
-        // The PR 1 kernel steps at a fixed 900 s stride; the adaptive
-        // schedule is coarser on quiet stretches. Capture under a constant
-        // rate is exact at any step size, so only the gate/hardening
-        // integration differs — the trajectories must stay within ~2 %.
-        let mut adaptive = ensemble();
-        let mut pr1 = adaptive.clone();
-        adaptive.stress(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-        pr1.stress_pr1(Seconds::from_hours(6.0), StressCondition::ACCELERATED);
-        assert!(
-            rel_diff(adaptive.delta_vth_mv(), pr1.delta_vth_mv()) < 0.02,
-            "adaptive {} vs pr1 {}",
-            adaptive.delta_vth_mv(),
-            pr1.delta_vth_mv()
         );
     }
 

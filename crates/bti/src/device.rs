@@ -132,23 +132,6 @@ impl BtiDevice {
         self.apply_stress_totals(total, new_total, dt);
     }
 
-    /// [`BtiDevice::stress`] with the pre-fusion age reconstruction (two
-    /// amplitude evaluations per step instead of one): kept as the measured
-    /// baseline for `perf_snapshot`. Not part of the API.
-    #[doc(hidden)]
-    pub fn stress_reference(&mut self, dt: Seconds, cond: StressCondition) {
-        if !(dt.value() > 0.0) || !cond.is_finite() {
-            return;
-        }
-        self.phase = Phase::Stressing;
-        let law = self.model.stress_law();
-
-        let total = self.delta_vth_mv();
-        let age = law.equivalent_age(total, cond);
-        let new_total = law.wearout_mv(age + dt, cond);
-        self.apply_stress_totals(total, new_total, dt);
-    }
-
     /// Distributes a stress step's wearout increment over the three pools.
     fn apply_stress_totals(&mut self, total: f64, new_total: f64, dt: Seconds) {
         let generated = (new_total - total).max(0.0);

@@ -401,54 +401,6 @@ impl EmWire {
         }
     }
 
-    /// The PR 4 `advance` (hoisted loop invariants, division-based scalar
-    /// stencil): kept as the measured baseline for `perf_snapshot`'s EM
-    /// stencil row. Division and multiplication-by-reciprocal differ by an
-    /// ulp per face, so this baseline is *numerically* (not bitwise)
-    /// equivalent to `advance`; a test pins the tolerance. Not part of the
-    /// API.
-    #[doc(hidden)]
-    pub fn advance_pr4(&mut self, dt: Seconds, j: CurrentDensity) {
-        if !(dt.value() > 0.0) || self.failed || !j.value().is_finite() {
-            return;
-        }
-        let n = self.sigma.len();
-        let mut kappa = vec![0.0; n - 1];
-        let mut g = vec![0.0; n - 1];
-        let mut kappa_max: f64 = 0.0;
-        for i in 0..n - 1 {
-            kappa[i] = self.material.kappa(self.temperature);
-            g[i] = self
-                .material
-                .wind_drive(&self.geometry, j, self.temperature);
-            kappa_max = kappa_max.max(kappa[i]);
-        }
-        let mobility = self.material.drift_mobility(self.temperature);
-        let drift = (mobility, mobility);
-        let omega = self.material.atomic_volume_m3;
-        let dx_min = self.mesh.min_spacing();
-        let dt_stable = STABILITY_SAFETY * dx_min * dx_min / (2.0 * kappa_max.max(1e-300));
-
-        let mut flux = vec![0.0; n - 1];
-        let face_dx: Vec<f64> = (0..n - 1).map(|i| self.mesh.face_spacing(i)).collect();
-        let tau_pin = self.material.pinning_tau_s;
-        let pin_stable = 1.0 - (-dt_stable / tau_pin).exp();
-
-        let mut remaining = dt.value();
-        while remaining > 0.0 && !self.failed {
-            let step = remaining.min(dt_stable);
-            let pin_factor = if step == dt_stable {
-                pin_stable
-            } else {
-                1.0 - (-step / tau_pin).exp()
-            };
-            self.substep_pr4(
-                step, &kappa, &g, drift, omega, &face_dx, &mut flux, pin_factor,
-            );
-            remaining -= step;
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn substep(
         &mut self,
@@ -495,88 +447,6 @@ impl EmWire {
             self.sigma[n - 1] = 0.0;
         } else {
             self.sigma[n - 1] += -dt * -flux[n - 2] * inv_widths[n - 1];
-        }
-
-        // Void volume exchange, pinning, nucleation, failure.
-        for (idx, v_rate) in [(0, v_cathode), (1, v_anode)] {
-            let void = &mut self.voids[idx];
-            if void.exists() {
-                void.mobile_m = (void.mobile_m + v_rate * dt).max(0.0);
-                let pin = void.mobile_m * pin_factor;
-                void.mobile_m -= pin;
-                void.pinned_m += pin;
-            }
-        }
-        if !self.voids[0].exists() && self.sigma[0] >= sigma_crit {
-            self.voids[0].mobile_m = VOID_SEED_M;
-            self.sigma[0] = 0.0;
-        }
-        if !self.voids[1].exists() && self.sigma[n - 1] >= sigma_crit {
-            self.voids[1].mobile_m = VOID_SEED_M;
-            self.sigma[n - 1] = 0.0;
-        }
-        if self
-            .voids
-            .iter()
-            .any(|v| v.total_m() >= self.material.break_length_m)
-        {
-            self.failed = true;
-        }
-
-        self.time += Seconds::new(dt);
-    }
-
-    /// The PR 4 substep: scalar stencil with per-face divisions, exactly
-    /// as it stood before the SIMD rework. Only [`EmWire::advance_pr4`]
-    /// calls it.
-    #[allow(clippy::too_many_arguments)]
-    fn substep_pr4(
-        &mut self,
-        dt: f64,
-        kappa: &[f64],
-        g: &[f64],
-        drift: (f64, f64),
-        omega: f64,
-        face_dx: &[f64],
-        flux: &mut [f64],
-        pin_factor: f64,
-    ) {
-        let n = self.sigma.len();
-        let sigma_crit = self.material.critical_stress.value();
-
-        // Face fluxes F[i] between nodes i and i+1: F = −κ(∂σ/∂x + G).
-        for i in 0..n - 1 {
-            flux[i] = -kappa[i] * ((self.sigma[i + 1] - self.sigma[i]) / face_dx[i] + g[i]);
-        }
-
-        // Void length rates at each end (m/s, positive = growing).
-        let cathode_grad = (self.sigma[1] - self.sigma[0]) / face_dx[0];
-        let anode_grad = (self.sigma[n - 1] - self.sigma[n - 2]) / face_dx[n - 2];
-        let mut v_cathode = drift.0 * omega * (g[0] + cathode_grad);
-        let mut v_anode = -drift.1 * omega * (g[n - 2] + anode_grad);
-        if v_cathode < 0.0 {
-            v_cathode *= self.material.recovery_mobility_boost;
-        }
-        if v_anode < 0.0 {
-            v_anode *= self.material.recovery_mobility_boost;
-        }
-
-        // Interior update: σ' = −∂F/∂x over each control volume.
-        let widths = self.mesh.widths();
-        for i in 1..n - 1 {
-            self.sigma[i] += -dt * (flux[i] - flux[i - 1]) / widths[i];
-        }
-        // Boundary nodes: blocked (zero boundary flux) without a void,
-        // free surface (σ = 0) with one.
-        if self.voids[0].exists() {
-            self.sigma[0] = 0.0;
-        } else {
-            self.sigma[0] += -dt * flux[0] / widths[0];
-        }
-        if self.voids[1].exists() {
-            self.sigma[n - 1] = 0.0;
-        } else {
-            self.sigma[n - 1] += -dt * -flux[n - 2] / widths[n - 1];
         }
 
         // Void volume exchange, pinning, nucleation, failure.
@@ -815,39 +685,6 @@ mod tests {
             assert_eq!(fast, reference, "diverged after {minutes} min at {j:?}");
         }
         assert!(fast.has_void());
-    }
-
-    #[test]
-    fn pr4_baseline_advance_stays_within_tolerance() {
-        // `advance_pr4` keeps the pre-SIMD division arithmetic; dividing by
-        // dx versus multiplying by 1/dx differs by at most an ulp per face,
-        // so the trajectories are numerically (not bitwise) equivalent.
-        let mut fast = EmWire::paper_wire();
-        let mut baseline = EmWire::paper_wire();
-        let schedule = [
-            (180.0, J_STRESS),
-            (60.0, J_RECOVER),
-            (45.0, CurrentDensity::ZERO),
-            (400.0, J_STRESS),
-        ];
-        for (minutes, j) in schedule {
-            fast.advance(Seconds::from_minutes(minutes), j);
-            baseline.advance_pr4(Seconds::from_minutes(minutes), j);
-        }
-        assert_eq!(fast.has_void(), baseline.has_void());
-        for ((_, a), (_, b)) in fast
-            .stress_profile()
-            .into_iter()
-            .zip(baseline.stress_profile())
-        {
-            let scale = a.abs().max(b.abs()).max(1.0);
-            assert!((a - b).abs() / scale < 1e-9, "stress diverged: {a} vs {b}");
-        }
-        let (ra, rb) = (fast.resistance().value(), baseline.resistance().value());
-        assert!(
-            (ra - rb).abs() / rb < 1e-9,
-            "resistance diverged: {ra} vs {rb}"
-        );
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! with reciprocal tables hoisted once per `advance` call: `vdivpd` is an
 //! order of magnitude slower than `vmulpd` and would dominate the
 //! vectorized stencil. Both backends execute the identical per-element
-//! IEEE sequence, so trajectories are bit-identical under either; the
-//! pre-reciprocal arithmetic survives as `EmWire::advance_pr4`, the
-//! measured baseline.
+//! IEEE sequence, so trajectories are bit-identical under either, and
+//! `EmWire::advance_reference` pins them bit for bit.
 
 /// Face fluxes `F[i] = −κ[i]·((σ[i+1] − σ[i])·inv_dx[i] + g[i])` between
 /// nodes `i` and `i+1`.

@@ -280,10 +280,10 @@ struct ShardResult {
     incidents: Vec<SensorIncident>,
 }
 
-/// The original per-chip (AoS) shard simulation, kept as the measured
-/// baseline and the bit-identity reference the columnar kernels are
-/// pinned against (`fleet_columnar` proptest, `perf_snapshot`). The
-/// engine itself always runs [`simulate_shard_columnar`].
+/// The original per-chip (AoS) shard simulation, kept as the bit-identity
+/// reference the columnar kernels are pinned against (`fleet_columnar`
+/// proptest, `tests/allocs.rs`). The engine itself always runs
+/// [`simulate_shard_columnar`].
 ///
 /// With a fault `plan`, every live chip's wear sensor is re-read through
 /// [`ChipState::sense`] after each epoch step — injected stuck/dropped
@@ -1110,7 +1110,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, FleetError> {
 /// ([`simulate_shard_reference`]) with the supervised fold semantics:
 /// poisoned samples are rejected into the [`DegradedReport`], sensor
 /// incidents are collected, and the run completes. This is the oracle
-/// the `fleet_columnar` proptest and `perf_snapshot` pin the columnar
+/// the `fleet_columnar` proptest and `tests/allocs.rs` pin the columnar
 /// engine against — not a production entry point.
 ///
 /// Kill/panic faults in `plan` are ignored (no supervision, no retries:

@@ -77,28 +77,6 @@ pub fn run_lifetime(
     policy: Policy,
     seed: u64,
 ) -> Result<LifetimeOutcome, SchedError> {
-    run_lifetime_impl(config, policy, seed, false)
-}
-
-/// [`run_lifetime`] with every hot path routed through the
-/// pre-optimization reference implementations (iterative thermal settle,
-/// unfused stress law): the serial baseline `perf_snapshot` measures the
-/// engine against. Not part of the API.
-#[doc(hidden)]
-pub fn run_lifetime_reference(
-    config: &LifetimeConfig,
-    policy: Policy,
-    seed: u64,
-) -> Result<LifetimeOutcome, SchedError> {
-    run_lifetime_impl(config, policy, seed, true)
-}
-
-fn run_lifetime_impl(
-    config: &LifetimeConfig,
-    policy: Policy,
-    seed: u64,
-    reference: bool,
-) -> Result<LifetimeOutcome, SchedError> {
     if !(config.years > 0.0) || !config.years.is_finite() {
         return Err(SchedError::InvalidConfig(format!(
             "lifetime must be positive, got {} years",
@@ -108,9 +86,6 @@ fn run_lifetime_impl(
     let mut system_config = config.system.clone();
     system_config.seed = seed;
     let mut system = ManyCoreSystem::new(system_config)?;
-    if reference {
-        system.set_reference_mode(true);
-    }
     let ro = RingOscillator::paper_75_stage();
 
     let total_epochs = (Seconds::from_years(config.years) / config.system.epoch)
@@ -124,8 +99,7 @@ fn run_lifetime_impl(
     let mut displaced = 0.0;
     let mut demanded = 0.0;
 
-    // The fresh frequency never changes; the reference path re-derives it
-    // per epoch inside `degradation`, as the seed did.
+    // The fresh frequency never changes, so it is derived once.
     let fresh = ro.frequency(0.0).value();
     for epoch in 0..total_epochs {
         let status = system.step(policy)?;
@@ -133,11 +107,7 @@ fn run_lifetime_impl(
             displaced += s.displaced_work.value();
             demanded += s.demanded_work.value();
         }
-        let degradation = if reference {
-            ro.degradation(system.worst_delta_vth_mv())
-        } else {
-            1.0 - ro.frequency(system.worst_delta_vth_mv()).value() / fresh
-        };
+        let degradation = 1.0 - ro.frequency(system.worst_delta_vth_mv()).value() / fresh;
         guardband = guardband.max(degradation);
         if epoch % config.sample_every.max(1) == 0 {
             series.push(system.time(), degradation);
@@ -180,7 +150,7 @@ pub fn compare_policies(
 /// One seed's result in a Monte-Carlo guardband sweep: the seed that drove
 /// it, the guardband it required, and the full lifetime outcome behind that
 /// number. Keeping the triple together lets every consumer — the fleet
-/// layer's streaming aggregates, `perf_snapshot`, plotting — share one
+/// layer's streaming aggregates, plotting — share one
 /// aggregation path instead of re-deriving context from a bare `Vec<f64>`.
 #[derive(Debug, Clone)]
 pub struct SeedOutcome {
@@ -220,26 +190,6 @@ pub fn monte_carlo_guardband(
             outcome,
         })
     })
-}
-
-/// [`monte_carlo_guardband`] as the seed shipped it: a plain serial loop
-/// over [`run_lifetime_reference`]. The baseline side of `perf_snapshot`'s
-/// guardband measurement. Not part of the API.
-#[doc(hidden)]
-pub fn monte_carlo_guardband_baseline(
-    config: &LifetimeConfig,
-    policy: Policy,
-    seeds: std::ops::Range<u64>,
-) -> Result<Vec<SeedOutcome>, SchedError> {
-    seeds
-        .map(|seed| {
-            run_lifetime_reference(config, policy, seed).map(|outcome| SeedOutcome {
-                seed,
-                guardband: outcome.required_guardband,
-                outcome,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

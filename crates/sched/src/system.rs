@@ -175,9 +175,6 @@ pub struct ManyCoreSystem {
     black: BlackModel,
     epoch_index: usize,
     time: Seconds,
-    /// Routes hot paths through the pre-optimization reference code
-    /// (baseline measurements only).
-    reference_mode: bool,
     /// Optional CET trap ensemble shadowing core 0's stress/recovery
     /// schedule — the Monte-Carlo cross-check of the analytic fleet.
     trap_monitor: Option<TrapEnsemble>,
@@ -247,7 +244,6 @@ impl ManyCoreSystem {
             black: BlackModel::calibrated_to_paper(),
             epoch_index: 0,
             time: Seconds::ZERO,
-            reference_mode: false,
             trap_monitor: None,
             metrics: MetricsReport::default(),
             sensor_incidents: Vec::new(),
@@ -279,16 +275,6 @@ impl ManyCoreSystem {
     /// The monitor's consolidated (permanent) component in millivolts.
     pub fn trap_monitor_permanent_mv(&self) -> Option<f64> {
         self.trap_monitor.as_ref().map(|m| m.permanent_mv())
-    }
-
-    /// Routes the thermal settle and BTI stress steps through the
-    /// pre-optimization reference implementations, so `perf_snapshot` can
-    /// measure the optimized engine against the seed's serial code in the
-    /// same binary. Not part of the API.
-    #[doc(hidden)]
-    pub fn set_reference_mode(&mut self, on: bool) {
-        self.reference_mode = on;
-        self.thermal.set_reference_solver(on);
     }
 
     /// The configuration.
@@ -457,12 +443,7 @@ impl ManyCoreSystem {
                 gate_voltage: self.config.vdd,
                 temperature: temp,
             };
-            if self.reference_mode {
-                core.bti
-                    .stress_reference(epoch * plan.run.value(), stress_cond);
-            } else {
-                core.bti.stress(epoch * plan.run.value(), stress_cond);
-            }
+            core.bti.stress(epoch * plan.run.value(), stress_cond);
             if plan.idle().value() > 0.0 {
                 // Powered-but-idle: gates sit at 0 bias — passive recovery
                 // at the tile temperature.
@@ -534,12 +515,8 @@ impl ManyCoreSystem {
 
             // --- Sensing for the next epoch ---
             // Open-loop policies never read the measurements, so only the
-            // adaptive policy (or the reference baseline, which always
-            // sensed) pays for them.
-            if self.reference_mode {
-                core.sensed_dvth_mv = core.bti_sensor.measure_reference(core.bti.delta_vth_mv());
-                core.sensed_em = core.em_sensor.measure(Fraction::clamped(core.em_damage));
-            } else if policy.uses_sensors() {
+            // adaptive policy pays for them.
+            if policy.uses_sensors() {
                 let raw = core.bti_sensor.measure(core.bti.delta_vth_mv());
                 // Hardware fault model: a stuck sensor latches whatever it
                 // read first after the fault hit; a dropped sensor returns

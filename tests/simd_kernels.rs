@@ -4,8 +4,8 @@
 //! * The `dh-simd` batched exponentials match libm to ≤ 1e-12 relative
 //!   error over the whole wear-kernel domain, including the exact
 //!   saturation cutoffs.
-//! * The CET structure-of-arrays SIMD kernels reproduce the retained
-//!   PR 2 libm kernels to ≤ 1e-12 relative occupancy error, property-
+//! * The CET structure-of-arrays SIMD kernels reproduce the per-element
+//!   libm oracles to ≤ 1e-12 relative occupancy error, property-
 //!   tested across random trap ensembles, lane-remainder ensemble sizes
 //!   (not multiples of [`deep_healing::simd::LANES`]), and stress times
 //!   that straddle the saturated-exponent boundary.
@@ -49,7 +49,7 @@ fn random_ensemble(n_traps: usize, seed: u64) -> Option<TrapEnsemble> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The SIMD stress/recover kernels track the PR 2 libm kernels to
+    /// The SIMD stress/recover kernels track the libm oracles to
     /// ≤ 1e-12 relative occupancy error over random ensembles, lane
     /// remainders, and stress times from seconds to days (the long end
     /// drives capture exponents across the saturation boundary).
@@ -69,8 +69,8 @@ proptest! {
         for _ in 0..3 {
             fast.stress(Seconds::from_hours(stress_hours), stress);
             fast.recover(Seconds::from_minutes(recover_minutes), recover);
-            reference.stress_pr2(Seconds::from_hours(stress_hours), stress);
-            reference.recover_pr2(Seconds::from_minutes(recover_minutes), recover);
+            reference.stress_libm_reference(Seconds::from_hours(stress_hours), stress);
+            reference.recover_libm_reference(Seconds::from_minutes(recover_minutes), recover);
         }
         let (soft_a, hard_a) = fast.occupancy_columns();
         let (soft_b, hard_b) = reference.occupancy_columns();
@@ -157,13 +157,13 @@ fn saturated_fast_path_is_a_rounding_identity() {
     let _g = dispatch_lock();
     // A two-day accelerated stress drives every capture exponent far past
     // the saturation cutoff: the group fast path handles whole lanes.
-    // The PR 2 kernel saturates per element; ≤ 1e-12 agreement here means
+    // The libm oracle saturates per element; ≤ 1e-12 agreement here means
     // the lane-granular decision changed nothing.
     let mut fast = random_ensemble(128, 5).expect("calibration converges");
     let mut reference = fast.clone();
     let two_days = Seconds::from_hours(48.0);
     fast.stress(two_days, StressCondition::ACCELERATED);
-    reference.stress_pr2(two_days, StressCondition::ACCELERATED);
+    reference.stress_libm_reference(two_days, StressCondition::ACCELERATED);
     let (soft_a, _) = fast.occupancy_columns();
     let (soft_b, _) = reference.occupancy_columns();
     for (a, b) in soft_a.iter().zip(soft_b) {
@@ -180,7 +180,7 @@ fn saturated_fast_path_is_a_rounding_identity() {
     let mut fast = random_ensemble(299, 9).expect("calibration converges");
     let mut reference = fast.clone();
     fast.stress(Seconds::new(2.0), knee);
-    reference.stress_pr2(Seconds::new(2.0), knee);
+    reference.stress_libm_reference(Seconds::new(2.0), knee);
     let (soft_a, _) = fast.occupancy_columns();
     let (soft_b, _) = reference.occupancy_columns();
     for (a, b) in soft_a.iter().zip(soft_b) {
