@@ -10,7 +10,8 @@
 //! checkpoint ever embeds this process's own disk-fault history, and a
 //! resume cannot double-count replayed writes. Opening the run (fresh,
 //! strict resume, or fall back over corrupt generations) stays the
-//! caller's choice.
+//! caller's choice. [`BackgroundSink`] moves any sink onto a writer
+//! thread of its own, so writes overlap the steps that follow them.
 
 use std::ops::ControlFlow;
 
@@ -81,6 +82,118 @@ pub trait CheckpointSink<C, E> {
 
 /// A checkpoint sink and its cadence: write after every `n`-th step.
 pub type Checkpoints<'a, C, E> = (&'a mut dyn CheckpointSink<C, E>, u64);
+
+/// What a [`BackgroundSink`] thread hands back when it exits.
+type WriterResult<E> = Result<DegradedReport, E>;
+
+/// A [`BackgroundSink`] writer thread panicked; the checkpoint it was
+/// writing, and any queued behind it, are lost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriterPanicked {
+    /// The panic message.
+    pub message: String,
+}
+
+/// Runs any [`CheckpointSink`] on a writer thread of its own, so the
+/// stepping thread hands a checkpoint over and moves on while the
+/// thread writes it.
+///
+/// Checkpoints travel over a bounded channel with `queued` slots: one
+/// is being written and at most `queued` wait behind it (`0` is a
+/// rendezvous hand-over). A further write blocks until the thread
+/// catches up, which bounds the memory in flight. The thread writes in
+/// hand-over order with the caller's write indices, so the files it
+/// leaves are the ones the wrapped sink would leave inline.
+///
+/// Disk incidents come back from [`CheckpointSink::finish`], which
+/// drains the queue and joins the thread. A write's I/O error stops the
+/// thread; it surfaces at the next [`CheckpointSink::write`] or at
+/// `finish`, and the checkpoint that discovers it is lost with it.
+/// Dropping the sink drains it too, discarding the result. A panic on
+/// the writer thread ends it like an I/O error does: it surfaces as the
+/// sink's error type, through `E: From<`[`WriterPanicked`]`>`.
+#[derive(Debug)]
+pub struct BackgroundSink<C, E> {
+    tx: Option<std::sync::mpsc::SyncSender<(C, u64)>>,
+    handle: Option<std::thread::JoinHandle<WriterResult<E>>>,
+}
+
+impl<C: Send + 'static, E: Send + 'static> BackgroundSink<C, E> {
+    /// Moves `sink` onto a writer thread named `name` with `queued`
+    /// waiting slots.
+    ///
+    /// # Panics
+    ///
+    /// If the OS refuses to spawn the thread.
+    pub fn spawn(
+        name: &str,
+        queued: usize,
+        mut sink: impl CheckpointSink<C, E> + Send + 'static,
+    ) -> Self {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(C, u64)>(queued);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let mut disk = DegradedReport::default();
+                for (checkpoint, write_index) in rx {
+                    disk.absorb(sink.write(checkpoint, write_index)?);
+                }
+                disk.absorb(sink.finish()?);
+                Ok(disk)
+            })
+            .expect("failed to spawn checkpoint writer thread");
+        Self {
+            tx: Some(tx),
+            handle: Some(handle),
+        }
+    }
+}
+
+impl<C, E> BackgroundSink<C, E> {
+    /// Closes the queue and joins the thread (a no-op once joined).
+    fn drain(&mut self) -> Option<std::thread::Result<WriterResult<E>>> {
+        self.tx = None;
+        self.handle.take().map(std::thread::JoinHandle::join)
+    }
+}
+
+impl<C, E: From<WriterPanicked>> CheckpointSink<C, E> for BackgroundSink<C, E> {
+    /// Hands `checkpoint` to the thread; blocks only while every slot is
+    /// full.
+    ///
+    /// # Panics
+    ///
+    /// After [`CheckpointSink::finish`].
+    fn write(&mut self, checkpoint: C, write_index: u64) -> Result<DegradedReport, E> {
+        let tx = self.tx.as_ref().expect("checkpoint write after finish");
+        if tx.send((checkpoint, write_index)).is_ok() {
+            return Ok(DegradedReport::default());
+        }
+        // The thread only hangs up early when a write failed or panicked.
+        Err(self
+            .finish()
+            .expect_err("the checkpoint writer exited with its queue open"))
+    }
+
+    fn finish(&mut self) -> Result<DegradedReport, E> {
+        match self.drain() {
+            Some(Ok(result)) => result,
+            Some(Err(payload)) => Err(WriterPanicked {
+                message: crate::supervise::panic_message(payload),
+            }
+            .into()),
+            None => Ok(DegradedReport::default()),
+        }
+    }
+}
+
+impl<C, E> Drop for BackgroundSink<C, E> {
+    fn drop(&mut self) {
+        // Let in-flight writes land so the files stay consistent; the
+        // result has nowhere to go.
+        let _ = self.drain();
+    }
+}
 
 /// How a [`drive`] call ended.
 #[derive(Debug, Clone, Default)]
@@ -225,6 +338,41 @@ mod tests {
         assert!(driven.cancelled);
         assert_eq!(driven.disk.retention_trims, 2);
         assert!(!run.degraded.is_degraded());
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Panicked(String);
+
+    impl From<WriterPanicked> for Panicked {
+        fn from(e: WriterPanicked) -> Self {
+            Self(e.message)
+        }
+    }
+
+    /// Panics on any checkpoint past 1.
+    struct Fragile;
+
+    impl CheckpointSink<u64, Panicked> for Fragile {
+        fn write(&mut self, at: u64, _: u64) -> Result<DegradedReport, Panicked> {
+            assert!(at < 2, "disk on fire at {at}");
+            Ok(DegradedReport::default())
+        }
+    }
+
+    #[test]
+    fn a_writer_thread_panic_surfaces_as_the_sink_error() {
+        let mut sink = BackgroundSink::spawn("test-ckpt", 0, Fragile);
+        for at in 0..3 {
+            // A rendezvous hand-over succeeds once the thread takes it.
+            assert_eq!(sink.write(at, at), Ok(DegradedReport::default()));
+        }
+        let fired = Panicked("disk on fire at 2".into());
+        assert_eq!(sink.write(3, 3), Err(fired.clone()), "the next write");
+        assert_eq!(sink.finish(), Ok(DegradedReport::default()), "joined");
+
+        let mut sink = BackgroundSink::spawn("test-ckpt", 1, Fragile);
+        assert_eq!(sink.write(2, 0), Ok(DegradedReport::default()));
+        assert_eq!(sink.finish(), Err(fired), "the final drain");
     }
 
     #[test]

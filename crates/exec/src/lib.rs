@@ -19,7 +19,8 @@
 //!    always pull the next pending item.
 //!
 //! [`drive`] is the one checkpointed run loop every long-running engine
-//! shares: step, write, report progress, repeat.
+//! shares: step, write, report progress, repeat. [`BackgroundSink`] is
+//! the one checkpoint writer thread behind it.
 //!
 //! The [`Memo`] cache rounds this out: expensive fitted artifacts (the
 //! CET emission-CDF knot fit, most prominently) are computed once per
@@ -36,7 +37,10 @@ mod memo;
 mod pool;
 mod supervise;
 
-pub use drive::{drive, CheckpointSink, Checkpoints, Driven, Steppable, Supervision};
+pub use drive::{
+    drive, BackgroundSink, CheckpointSink, Checkpoints, Driven, Steppable, Supervision,
+    WriterPanicked,
+};
 pub use memo::{Memo, MEMO_DEFAULT_CAPACITY};
 pub use pool::{
     max_threads, par_chunks_mut, par_chunks_mut2, par_map, par_map_fold, par_map_indexed,

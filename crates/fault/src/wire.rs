@@ -1,8 +1,9 @@
 //! Little-endian encode/decode primitives shared by every checkpoint
 //! format in the workspace (the build has no serde): fixed-width
 //! integers, `f64` as raw bit patterns (so NaN payloads and signed zeros
-//! round-trip bit-exactly), length-prefixed strings, and the FNV-1a hash
-//! used for config fingerprints, pack fingerprints, and file checksums.
+//! round-trip bit-exactly), length-prefixed strings, the FNV-1a hash
+//! used for config fingerprints, pack fingerprints, and file checksums,
+//! and the word-wise [`word_checksum`] that `DHSP` v3 files carry.
 //!
 //! Decoding never panics and never allocates more than the input holds:
 //! a short read is a typed [`WireError`], which each format maps into its
@@ -38,6 +39,49 @@ pub fn fnv1a_u64(hash: u64, v: u64) -> u64 {
 #[inline]
 pub fn fnv1a_f64(hash: u64, v: f64) -> u64 {
     fnv1a_u64(hash, v.to_bits())
+}
+
+/// The two odd multipliers of xxHash64's round.
+const ROUND_PRIMES: [u64; 2] = [0x9e37_79b1_85eb_ca87, 0xc2b2_ae3d_27d4_eb4f];
+
+/// One xxHash64-style round: add the scaled word, rotate, multiply. The
+/// rotation carries high-bit differences down, so two top-bit flips
+/// cannot cancel the way they do under a bare multiply.
+#[inline]
+fn fold_word(hash: u64, word: u64) -> u64 {
+    hash.wrapping_add(word.wrapping_mul(ROUND_PRIMES[1]))
+        .rotate_left(31)
+        .wrapping_mul(ROUND_PRIMES[0])
+}
+
+/// A word-wise checksum of `bytes` for large checkpoint files.
+///
+/// Four interleaved lanes each fold every fourth little-endian `u64`
+/// word with an xxHash64-style round, so the four multiply chains run
+/// side by side instead of one byte at a time. The byte tail (zero-padded
+/// to whole words), the four lanes, and the length are then folded word
+/// by word into one hash. Every round is a bijection of the running
+/// value, so any change confined to a single word, a single bit flip in
+/// particular, always changes the result.
+pub fn word_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [0u64, 1, 2, 3].map(|k| FNV_OFFSET ^ k);
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = fold_word(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let mut hash = FNV_OFFSET;
+    for piece in tail.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..piece.len()].copy_from_slice(piece);
+        hash = fold_word(hash, u64::from_le_bytes(word));
+    }
+    for lane in lanes {
+        hash = fold_word(hash, lane);
+    }
+    fold_word(hash, bytes.len() as u64)
 }
 
 /// Why a field could not be read back.
@@ -213,5 +257,40 @@ mod tests {
     fn fnv_matches_reference_vector() {
         // FNV-1a("a") = 0xaf63dc4c8601ec8c.
         assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn word_checksum_matches_reference_vectors() {
+        // Computed by an independent transcription of the definition:
+        // empty input, a lone tail byte, and three full 32-byte blocks
+        // plus a four-byte tail.
+        assert_eq!(word_checksum(b""), 0x990e_0dc4_fcc6_5949);
+        assert_eq!(word_checksum(b"a"), 0x02d1_521a_3dab_214a);
+        let ramp: Vec<u8> = (0..100).collect();
+        assert_eq!(word_checksum(&ramp), 0x2874_0c01_a2a4_de27);
+    }
+
+    #[test]
+    fn word_checksum_sees_trailing_zeros_and_every_bit_pair() {
+        // Zero padding of the tail must not alias a longer input.
+        assert_ne!(word_checksum(&[1, 0]), word_checksum(&[1]));
+        // Every one- and two-bit flip of a 67-byte input (two whole
+        // blocks and a tail) changes the sum; top-bit pairs in two words
+        // of one lane, or of two lanes, are the case a bare multiply
+        // misses.
+        let ramp: Vec<u8> = (0..67).collect();
+        let base = word_checksum(&ramp);
+        let bits = 8 * ramp.len();
+        let mut flipped = ramp.clone();
+        for a in 0..bits {
+            flipped[a / 8] ^= 1 << (a % 8);
+            assert_ne!(word_checksum(&flipped), base, "bit {a}");
+            for b in a + 1..bits {
+                flipped[b / 8] ^= 1 << (b % 8);
+                assert_ne!(word_checksum(&flipped), base, "bits {a} and {b}");
+                flipped[b / 8] ^= 1 << (b % 8);
+            }
+            flipped[a / 8] ^= 1 << (a % 8);
+        }
     }
 }

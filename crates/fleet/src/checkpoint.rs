@@ -51,7 +51,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dh_exec::CheckpointSink;
+use dh_exec::{BackgroundSink, CheckpointSink};
 use dh_fault::wire::{fnv1a, put_u64, take_u64, FNV_OFFSET};
 use dh_fault::{CheckpointFallback, DegradedReport, FaultPlan, GenerationStore, WriteOutcome};
 
@@ -362,23 +362,37 @@ impl CheckpointStore {
     }
 }
 
-/// The inline writer behind [`CheckpointMode::Sync`]: encode into one
-/// reused buffer and write through the store on the folding thread.
-pub(crate) struct SyncWriter<'a> {
-    pub(crate) store: &'a CheckpointStore,
-    pub(crate) plan: Option<&'a FaultPlan>,
-    pub(crate) scratch: Vec<u8>,
+/// Encodes into one reused buffer and writes through the store: inline
+/// behind [`CheckpointMode::Sync`], on the writer thread behind
+/// [`AsyncCheckpointer`].
+pub(crate) struct StoreWriter {
+    store: CheckpointStore,
+    plan: Option<FaultPlan>,
+    scratch: Vec<u8>,
 }
 
-impl CheckpointSink<Snapshot, FleetError> for SyncWriter<'_> {
+impl StoreWriter {
+    pub(crate) fn new(store: CheckpointStore, plan: Option<FaultPlan>) -> Self {
+        Self {
+            store,
+            plan,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl CheckpointSink<Snapshot, FleetError> for StoreWriter {
     fn write(
         &mut self,
         snapshot: Snapshot,
         write_index: u64,
     ) -> Result<DegradedReport, FleetError> {
-        let outcome =
-            self.store
-                .write_injected_with(&snapshot, self.plan, write_index, &mut self.scratch)?;
+        let outcome = self.store.write_injected_with(
+            &snapshot,
+            self.plan.as_ref(),
+            write_index,
+            &mut self.scratch,
+        )?;
         Ok(outcome.disk)
     }
 }
@@ -414,37 +428,27 @@ impl CheckpointMode {
     }
 }
 
-/// The snapshot a writer-thread job carries, plus its position in the
-/// write sequence (fault plans key corruption on the write index, so it
-/// must be assigned on the submitting side, in submission order).
-#[derive(Debug)]
-struct WriteJob {
-    snapshot: Snapshot,
-    write_index: u64,
-}
-
 /// A dedicated checkpoint writer thread: [`AsyncCheckpointer::submit`]
 /// hands over a cheap O(aggregate-state) snapshot clone and returns
 /// immediately; the thread does the encode, checksum, generation
 /// rotation, and atomic write off the folding hot path, reusing one
 /// encode buffer for the whole run.
 ///
-/// Jobs flow through a bounded channel of depth 1 — a double buffer:
-/// one checkpoint in flight on the writer plus one queued. Submitting a
-/// third before the first lands blocks (backpressure), so a crashed
-/// process has lost at most the last two submitted checkpoints, exactly
-/// like a sync writer that was two batches behind. Writes happen
-/// strictly in submission order with the same write indices a sync loop
-/// would use, so the on-disk generation history is byte-identical to
-/// [`CheckpointMode::Sync`].
+/// The thread is a [`BackgroundSink`] with one queued slot — a double
+/// buffer: one checkpoint in flight on the writer plus one queued.
+/// Submitting a third before the first lands blocks (backpressure), so
+/// a crashed process has lost at most the last two submitted
+/// checkpoints, exactly like a sync writer that was two batches behind.
+/// Writes happen strictly in submission order with the same write
+/// indices a sync loop would use, so the on-disk generation history is
+/// byte-identical to [`CheckpointMode::Sync`].
 ///
 /// I/O errors surface at the next [`AsyncCheckpointer::submit`] or at
 /// [`AsyncCheckpointer::finish`], which must be called to guarantee the
 /// final snapshot is durable before the run's report is trusted.
 #[derive(Debug)]
 pub struct AsyncCheckpointer {
-    tx: Option<std::sync::mpsc::SyncSender<WriteJob>>,
-    handle: Option<std::thread::JoinHandle<Result<DegradedReport, FleetError>>>,
+    writer: BackgroundSink<Snapshot, FleetError>,
     next_index: u64,
 }
 
@@ -453,27 +457,8 @@ impl AsyncCheckpointer {
     /// plan through to [`CheckpointStore::write_injected_with`] so
     /// injected corruption hits the same write indices as in sync mode.
     pub fn spawn(store: CheckpointStore, plan: Option<FaultPlan>) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<WriteJob>(1);
-        let handle = std::thread::Builder::new()
-            .name("dh-fleet-ckpt".into())
-            .spawn(move || {
-                let mut scratch = Vec::new();
-                let mut disk = DegradedReport::default();
-                for job in rx {
-                    let outcome = store.write_injected_with(
-                        &job.snapshot,
-                        plan.as_ref(),
-                        job.write_index,
-                        &mut scratch,
-                    )?;
-                    disk.absorb(outcome.disk);
-                }
-                Ok(disk)
-            })
-            .expect("failed to spawn checkpoint writer thread");
         Self {
-            tx: Some(tx),
-            handle: Some(handle),
+            writer: BackgroundSink::spawn("dh-fleet-ckpt", 1, StoreWriter::new(store, plan)),
             next_index: 0,
         }
     }
@@ -487,20 +472,7 @@ impl AsyncCheckpointer {
     /// snapshot that triggered the discovery is lost with it (the run
     /// should abort — its durability guarantee is gone).
     pub fn submit(&mut self, snapshot: Snapshot) -> Result<(), FleetError> {
-        let job = WriteJob {
-            snapshot,
-            write_index: self.next_index,
-        };
-        let tx = self.tx.as_ref().expect("submit after finish");
-        if tx.send(job).is_err() {
-            // The receiver is gone: the writer bailed on an I/O error.
-            // Join it and surface that error instead of a channel error.
-            // (A clean exit cannot happen while `tx` is still held.)
-            return Err(self
-                .drain()
-                .err()
-                .unwrap_or_else(|| FleetError::Io("checkpoint writer exited early".into())));
-        }
+        self.writer.write(snapshot, self.next_index)?;
         self.next_index += 1;
         Ok(())
     }
@@ -511,20 +483,10 @@ impl AsyncCheckpointer {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Io`] from any submitted write.
+    /// [`FleetError::Io`] from any submitted write, or
+    /// `"checkpoint writer panicked"` if the writer thread panicked.
     pub fn finish(mut self) -> Result<DegradedReport, FleetError> {
-        self.drain()
-    }
-
-    /// [`AsyncCheckpointer::finish`] in place: closes the queue and
-    /// joins the writer (a no-op once joined).
-    fn drain(&mut self) -> Result<DegradedReport, FleetError> {
-        self.tx = None; // close the channel; the writer drains and exits
-        match self.handle.take().map(std::thread::JoinHandle::join) {
-            Some(Ok(result)) => result,
-            Some(Err(_)) => Err(FleetError::Io("checkpoint writer panicked".into())),
-            None => Ok(DegradedReport::default()),
-        }
+        self.writer.finish()
     }
 }
 
@@ -540,16 +502,7 @@ impl CheckpointSink<Snapshot, FleetError> for AsyncCheckpointer {
     }
 
     fn finish(&mut self) -> Result<DegradedReport, FleetError> {
-        self.drain()
-    }
-}
-
-impl Drop for AsyncCheckpointer {
-    fn drop(&mut self) {
-        // Wait for in-flight writes so a dropped (not `finish`ed)
-        // checkpointer still leaves a consistent disk state; errors here
-        // have nowhere to go and are dropped with it.
-        let _ = self.drain();
+        self.writer.finish()
     }
 }
 

@@ -88,3 +88,9 @@ impl From<dh_fault::StoreError> for FleetError {
         Self::Io(e.to_string())
     }
 }
+
+impl From<dh_exec::WriterPanicked> for FleetError {
+    fn from(_: dh_exec::WriterPanicked) -> Self {
+        Self::Io("checkpoint writer panicked".into())
+    }
+}

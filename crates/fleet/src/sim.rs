@@ -35,7 +35,9 @@ use dh_fault::wire::{fnv1a, fnv1a_f64, fnv1a_u64, put_u64, take_u64, FNV_OFFSET}
 use dh_fault::{DegradedReport, FaultPlan, SensorFaultKind, SensorIncident, ShardFailure};
 use dh_units::{CurrentDensity, Fraction, Kelvin, Seconds, Volts};
 
-use crate::checkpoint::{AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot, SyncWriter};
+use crate::checkpoint::{
+    AsyncCheckpointer, CheckpointMode, CheckpointStore, Snapshot, StoreWriter,
+};
 use crate::chip::{ChipContext, ChipOutcome, ChipSpec, ChipState, VariationModel};
 use crate::error::FleetError;
 use crate::kernel::{
@@ -1286,11 +1288,7 @@ pub fn drive_fleet(
     let sink: Option<&mut dyn CheckpointSink<Snapshot, FleetError>> = match checkpoints {
         None => None,
         Some((store, CheckpointMode::Sync)) => {
-            sync = SyncWriter {
-                store,
-                plan,
-                scratch: Vec::new(),
-            };
+            sync = StoreWriter::new(store.clone(), plan.cloned());
             Some(&mut sync)
         }
         Some((store, CheckpointMode::Async)) => {

@@ -107,6 +107,15 @@ impl From<dh_fault::StoreError> for ScenarioError {
     }
 }
 
+impl From<dh_exec::WriterPanicked> for ScenarioError {
+    fn from(e: dh_exec::WriterPanicked) -> Self {
+        Self::Io {
+            path: "checkpoint writer".into(),
+            why: format!("panicked: {}", e.message),
+        }
+    }
+}
+
 /// Shorthand constructor for [`ScenarioError::Schema`].
 pub(crate) fn schema(field: impl Into<String>, why: impl Into<String>) -> ScenarioError {
     ScenarioError::Schema {

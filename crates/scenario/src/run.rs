@@ -5,11 +5,11 @@
 //! shard's columns, the per-epoch context is computed once from the
 //! pack, and [`dh_exec::par_chunks_mut`] reassembles results in index
 //! order — so the run is bit-identical at any thread count, and the
-//! report fingerprint is a stable pin for CI. Checkpoints (`DHSP` v2;
-//! v1 files still resume) carry only the mutable state columns plus the
-//! run's [`DegradedReport`]; the constant parameter columns are rebuilt
-//! from the pack, whose fingerprint the file embeds so a checkpoint
-//! cannot silently resume under a different scenario.
+//! report fingerprint is a stable pin for CI. Checkpoints (`DHSP` v3;
+//! v1 and v2 files still resume) carry only the mutable state columns
+//! plus the run's [`DegradedReport`]; the constant parameter columns are
+//! rebuilt from the pack, whose fingerprint the file embeds so a
+//! checkpoint cannot silently resume under a different scenario.
 //!
 //! Supervision mirrors the fleet engine: [`ScenarioRun::step_supervised`]
 //! threads a [`FaultPlan`] through the shard workers (panic / poison /
@@ -20,13 +20,15 @@
 //! injectable disk faults under the checkpoint writer. A no-op plan
 //! short-circuits to the strict path, so its report stays bit-identical
 //! to an unsupervised run. [`drive_scenario`] is the one run loop over
-//! all of it, shared with the `fleet` CLI and the `dh-serve` daemon.
+//! all of it, shared with the `fleet` CLI and the `dh-serve` daemon; it
+//! hands every checkpoint to a [`BackgroundSink`] writer thread, so the
+//! write and fsync overlap the steps that follow.
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use dh_exec::{CheckpointSink, Driven, RetryPolicy, Steppable, Supervision};
+use dh_exec::{BackgroundSink, CheckpointSink, Driven, RetryPolicy, Steppable, Supervision};
 use dh_fault::{
     CheckpointFallback, DegradedReport, FaultPlan, GenerationStore, SensorIncident, ShardFailure,
     WriteOutcome,
@@ -35,14 +37,19 @@ use dh_fault::{
 use crate::error::ScenarioError;
 use crate::models::{EpochCtx, MultiplierStore, SramStore, WeightStore};
 use crate::pack::{BlockModel, ScenarioPack};
-use crate::wire::{fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, FNV_OFFSET};
+use crate::wire::{
+    fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, word_checksum, FNV_OFFSET,
+};
 
 /// Checkpoint magic: "DHSP" (Deep-Healing Scenario Pack state).
 const MAGIC: &[u8; 4] = b"DHSP";
-/// Checkpoint format version this build writes.
-const VERSION: u64 = 2;
-/// Oldest format version this build still resumes from (no degraded
-/// section).
+/// Checkpoint format version this build writes: v2's layout under the
+/// word-wise [`word_checksum`].
+const VERSION: u64 = 3;
+/// The last format version checksummed byte by byte with FNV-1a.
+const FNV_VERSION: u64 = 2;
+/// Oldest format version this build still resumes from (FNV-1a, no
+/// degraded section).
 const LEGACY_VERSION: u64 = 1;
 
 /// One shard: a contiguous range of one block group's elements.
@@ -356,9 +363,9 @@ impl ScenarioRun {
     /// per `retry` and quarantined when they keep failing, poisoned
     /// (non-finite) shard states are rejected at the fold, and every
     /// such event lands in [`ScenarioRun::degraded`] instead of
-    /// aborting. Workers step an out-of-place copy of the shard state,
-    /// so a retried attempt always starts from the intact pre-epoch
-    /// columns.
+    /// aborting. Each attempt steps its own copy of the shard state, so
+    /// a retried attempt always starts from the intact pre-epoch columns;
+    /// accepted states replace the shards once the batch is folded.
     ///
     /// A quarantined shard stops advancing: its last-good state stays
     /// frozen in the aggregate (and the fingerprint), and the shard is
@@ -406,25 +413,20 @@ impl ScenarioRun {
             .saturating_add(max_shards.max(1))
             .min(self.shards.len());
         let batch = hi - first;
-        // Out-of-place inputs: quarantined shards are skipped, everyone
-        // else is stepped on a copy so retries are side-effect free.
-        let inputs: Vec<Option<Store>> = (first..hi)
-            .map(|s| {
-                if self.quarantined.contains(&s) {
-                    None
-                } else {
-                    Some(self.shards[s].store.clone())
-                }
-            })
-            .collect();
         let keys: Vec<u64> = (first..hi).map(|s| self.fault_key(s)).collect();
-        let shards = &mut self.shards;
+        let (shards, quarantined) = (&self.shards, &self.quarantined);
         let degraded = &mut self.degraded;
+        let mut stepped = Vec::with_capacity(batch);
         let outcome = dh_exec::par_map_fold_supervised(
             batch,
             |i, attempt| {
                 // Quarantined shards stay frozen: no work, no faults.
-                let mut store = inputs[i].clone()?;
+                if quarantined.contains(&(first + i)) {
+                    return None;
+                }
+                // Each attempt steps its own copy, so a retry always
+                // starts from the intact pre-epoch columns.
+                let mut store = shards[first + i].store.clone();
                 let key = keys[i];
                 if let Some(p) = plan {
                     if p.shard_panics(key, attempt) {
@@ -456,16 +458,19 @@ impl ScenarioRun {
                     dh_obs::counter!("scenario.rejected_samples").add(poisoned as u64);
                     return;
                 }
-                shards[first + i].store = store;
+                stepped.push((first + i, store));
             },
             retry,
         );
-        degraded.retries += outcome.retries;
+        for (shard, store) in stepped {
+            self.shards[shard].store = store;
+        }
+        self.degraded.retries += outcome.retries;
         dh_obs::counter!("scenario.shard_retries").add(outcome.retries);
         dh_obs::counter!("scenario.shards_quarantined").add(outcome.failures.len() as u64);
         for f in outcome.failures {
             let shard = first + f.index;
-            degraded.quarantined.push(ShardFailure {
+            self.degraded.quarantined.push(ShardFailure {
                 shard: shard as u64,
                 attempts: f.attempts,
                 error: f.message,
@@ -541,11 +546,28 @@ impl ScenarioRun {
 
     // ------------------------------------------------------- checkpoints
 
-    /// Serializes the mutable state (`DHSP` v2) — constant columns are
+    /// Serializes the mutable state (`DHSP` v3) — constant columns are
     /// rebuilt from the pack on resume; the degraded report rides along
     /// so quarantines and incidents survive a kill/resume cycle.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        seal(self.encode_body())
+    }
+
+    /// Everything [`ScenarioRun::encode_checkpoint`] writes but the
+    /// trailing checksum, in a buffer sized for the whole file.
+    fn encode_body(&self) -> Vec<u8> {
+        let mut degraded = Vec::new();
+        self.degraded.encode(&mut degraded);
+        // Header, per-shard header and columns, degraded section, checksum.
+        let columns: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (cols, failed) = shard.store.state();
+                3 + cols.iter().map(|c| c.len()).sum::<usize>() + failed.len()
+            })
+            .sum();
+        let mut buf = Vec::with_capacity(MAGIC.len() + 8 * (5 + columns + 1) + degraded.len());
         buf.extend_from_slice(MAGIC);
         put_u64(&mut buf, VERSION);
         put_u64(&mut buf, self.pack_fp);
@@ -566,14 +588,13 @@ impl ScenarioRun {
                 put_u64(&mut buf, v);
             }
         }
-        self.degraded.encode(&mut buf);
-        let checksum = fnv1a(FNV_OFFSET, &buf);
-        put_u64(&mut buf, checksum);
+        buf.extend_from_slice(&degraded);
         buf
     }
 
     /// Rebuilds a run from a pack and checkpoint bytes, verifying the
-    /// checksum, the format version, and the pack fingerprint.
+    /// format version, the checksum that version carries (word-wise for
+    /// v3, byte-wise FNV-1a for v1 and v2), and the pack fingerprint.
     pub fn decode_checkpoint(pack: ScenarioPack, bytes: &[u8]) -> Result<Self, ScenarioError> {
         if bytes.len() < MAGIC.len() + 8 || &bytes[..4] != MAGIC {
             return Err(ScenarioError::Corrupt("bad magic".into()));
@@ -581,17 +602,20 @@ impl ScenarioRun {
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let mut tail_view = tail;
         let expect = take_u64(&mut tail_view, "checksum")?;
-        let actual = fnv1a(FNV_OFFSET, body);
+        let mut view = &body[4..];
+        let version = take_u64(&mut view, "version")?;
+        let actual = match version {
+            VERSION => word_checksum(body),
+            LEGACY_VERSION | FNV_VERSION => fnv1a(FNV_OFFSET, body),
+            _ => {
+                return Err(ScenarioError::Corrupt(format!(
+                    "unsupported version {version} (want {VERSION})"
+                )))
+            }
+        };
         if expect != actual {
             return Err(ScenarioError::Corrupt(format!(
                 "checksum mismatch: stored {expect:#018x}, computed {actual:#018x}"
-            )));
-        }
-        let mut view = &body[4..];
-        let version = take_u64(&mut view, "version")?;
-        if version != VERSION && version != LEGACY_VERSION {
-            return Err(ScenarioError::Corrupt(format!(
-                "unsupported version {version} (want {VERSION})"
             )));
         }
         let pack_fp = take_u64(&mut view, "pack fingerprint")?;
@@ -630,7 +654,7 @@ impl ScenarioRun {
                 *v = take_u64(&mut view, "failed column")?;
             }
         }
-        if version == VERSION {
+        if version != LEGACY_VERSION {
             run.degraded = DegradedReport::decode(&mut view, false)?;
             run.quarantined = run
                 .degraded
@@ -689,8 +713,9 @@ impl Steppable for ScenarioRun {
         Ok(progress.done)
     }
 
+    /// The unsealed body: the writer thread appends the checksum.
     fn checkpoint(&self) -> Vec<u8> {
-        self.encode_checkpoint()
+        self.encode_body()
     }
 
     fn degraded_mut(&mut self) -> &mut DegradedReport {
@@ -739,9 +764,18 @@ pub fn run_pack_supervised(
 /// the final one (the supervision's fault plan also injects into those
 /// writes), and calling `on_step` after each step and its write.
 ///
+/// The writes run on a [`BackgroundSink`] thread behind a rendezvous
+/// hand-over: the stepping thread encodes a checkpoint body and moves on
+/// while the thread checksums, rotates, writes, and fsyncs it, so at
+/// most one checkpoint is in flight. The files it leaves are
+/// byte-identical to the same sequence of
+/// [`ScenarioCheckpointStore::write_injected`] calls, and the sink is
+/// drained before this returns.
+///
 /// # Errors
 ///
-/// [`ScenarioError::Io`] on a genuine filesystem failure.
+/// [`ScenarioError::Io`] on a genuine filesystem failure, at the write
+/// after the one that failed or at the final drain.
 pub fn drive_scenario(
     run: &mut ScenarioRun,
     units: u64,
@@ -749,30 +783,38 @@ pub fn drive_scenario(
     checkpoints: Option<(&ScenarioCheckpointStore, u64)>,
     on_step: impl FnMut(&ScenarioRun) -> ControlFlow<()>,
 ) -> Result<Driven, ScenarioError> {
-    let plan = supervision.and_then(|s| s.plan);
-    let mut writers = checkpoints.map(|(store, every)| (Writer { store, plan }, every));
+    let plan = supervision.and_then(|s| s.plan).cloned();
+    let mut writers = checkpoints.map(|(store, every)| {
+        let writer = Writer {
+            store: store.clone(),
+            plan,
+        };
+        (BackgroundSink::spawn("dh-scenario-ckpt", 0, writer), every)
+    });
     let sink = writers
         .as_mut()
         .map(|(w, every)| (w as &mut dyn CheckpointSink<Vec<u8>, ScenarioError>, *every));
     dh_exec::drive(run, units, supervision, sink, on_step)
 }
 
-/// Writes encoded checkpoints through a store, injecting `plan`'s faults.
-struct Writer<'a> {
-    store: &'a ScenarioCheckpointStore,
-    plan: Option<&'a FaultPlan>,
+/// Appends the v3 checksum of everything in `buf`.
+fn seal(mut buf: Vec<u8>) -> Vec<u8> {
+    let checksum = word_checksum(&buf);
+    put_u64(&mut buf, checksum);
+    buf
 }
 
-impl CheckpointSink<Vec<u8>, ScenarioError> for Writer<'_> {
-    fn write(
-        &mut self,
-        mut bytes: Vec<u8>,
-        write_index: u64,
-    ) -> Result<DegradedReport, ScenarioError> {
+/// Writes checkpoint bodies through a store, injecting `plan`'s faults.
+struct Writer {
+    store: ScenarioCheckpointStore,
+    plan: Option<FaultPlan>,
+}
+
+impl CheckpointSink<Vec<u8>, ScenarioError> for Writer {
+    fn write(&mut self, body: Vec<u8>, write_index: u64) -> Result<DegradedReport, ScenarioError> {
         Ok(self
             .store
-            .inner
-            .write_injected(&mut bytes, self.plan, write_index)?
+            .write_body_injected(body, self.plan.as_ref(), write_index)?
             .disk)
     }
 }
@@ -827,7 +869,18 @@ impl ScenarioCheckpointStore {
         plan: Option<&FaultPlan>,
         write_index: u64,
     ) -> Result<WriteOutcome, ScenarioError> {
-        let mut bytes = run.encode_checkpoint();
+        self.write_body_injected(run.encode_body(), plan, write_index)
+    }
+
+    /// Seals a checkpoint body (see [`ScenarioRun::encode_checkpoint`])
+    /// and writes it like [`ScenarioCheckpointStore::write_injected`].
+    fn write_body_injected(
+        &self,
+        body: Vec<u8>,
+        plan: Option<&FaultPlan>,
+        write_index: u64,
+    ) -> Result<WriteOutcome, ScenarioError> {
+        let mut bytes = seal(body);
         Ok(self.inner.write_injected(&mut bytes, plan, write_index)?)
     }
 
@@ -1045,6 +1098,86 @@ mod tests {
         assert_eq!(decoded.progress(), run.progress());
         assert_eq!(decoded.degraded, DegradedReport::default());
         assert_eq!(decoded.report(), run.report());
+    }
+
+    #[test]
+    fn encode_reserves_exactly_the_bytes_it_writes() {
+        let pack = small_pack();
+        let p = plan("panic=1", 3);
+        let mut run = ScenarioRun::new(pack);
+        run.step_supervised(2, Some(&p), &RetryPolicy::immediate(2));
+        assert!(run.degraded.is_degraded());
+        let bytes = run.encode_checkpoint();
+        assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
+    fn background_writes_match_synchronous_write_injected_calls() {
+        let pack = small_pack();
+        let p = plan("panic=0.2,ckpt-flip=2,disk-full=0.3,disk-torn=3", 17);
+        let retry = RetryPolicy::immediate(12);
+        let supervision = Supervision {
+            plan: Some(&p),
+            retry: &retry,
+        };
+
+        let driven_store = ScenarioCheckpointStore::new(temp_dir("bg-driven").join("s.dhsp"), 3);
+        let mut driven_run = ScenarioRun::new(pack.clone());
+        let driven = drive_scenario(
+            &mut driven_run,
+            2,
+            Some(supervision),
+            Some((&driven_store, 1)),
+            |_| ControlFlow::Continue(()),
+        )
+        .unwrap();
+
+        // The same steps with every write made inline, in order.
+        let sync_store = ScenarioCheckpointStore::new(temp_dir("bg-sync").join("s.dhsp"), 3);
+        let mut sync_run = ScenarioRun::new(pack);
+        let mut disk = DegradedReport::default();
+        let mut write_index = 0;
+        loop {
+            let done = sync_run.step_supervised(2, Some(&p), &retry).done;
+            let outcome = sync_store
+                .write_injected(&sync_run, Some(&p), write_index)
+                .unwrap();
+            disk.absorb(outcome.disk);
+            write_index += 1;
+            if done {
+                break;
+            }
+        }
+        sync_run.degraded.absorb(disk.clone());
+
+        assert!(disk.disk_incidents.len() > 1, "{disk:?}");
+        assert_eq!(driven.disk, disk);
+        assert_eq!(driven_run.degraded, sync_run.degraded);
+        for generation in 0..3 {
+            assert_eq!(
+                std::fs::read(driven_store.generation_path(generation)).ok(),
+                std::fs::read(sync_store.generation_path(generation)).ok(),
+                "generation {generation}"
+            );
+        }
+    }
+
+    #[test]
+    fn background_writer_surfaces_io_errors() {
+        let missing = temp_dir("bg-io-error")
+            .join("no-such-subdir")
+            .join("s.dhsp");
+        let store = ScenarioCheckpointStore::new(missing, 2);
+        let result = run_pack_supervised(
+            small_pack(),
+            None,
+            &RetryPolicy::immediate(1),
+            Some((&store, 1)),
+        );
+        assert!(
+            matches!(result, Err(ScenarioError::Io { .. })),
+            "a doomed write path must fail the run: {result:?}"
+        );
     }
 
     #[test]

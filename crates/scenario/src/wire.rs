@@ -3,7 +3,7 @@
 //! the hashed per-element draws packs spread variation with.
 
 pub(crate) use dh_fault::wire::{
-    fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, FNV_OFFSET,
+    fnv1a, fnv1a_u64, put_f64, put_u64, take_f64, take_u64, word_checksum, FNV_OFFSET,
 };
 
 /// A deterministic per-element unit draw in `[0, 1)`: hash of

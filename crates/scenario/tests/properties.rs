@@ -426,3 +426,88 @@ fn builtin_packs_survive_a_kill_and_resume_byte_identically() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------------------- checkpoint format
+
+/// The pack the checked-in `DHSP` v2 fixture was written for: the
+/// built-in SRAM-decoder pack, shrunk to 2 × 160 elements over 6 epochs.
+fn fixture_pack() -> ScenarioPack {
+    let mut pack = ScenarioRegistry::builtin()
+        .get("sram-decoder")
+        .unwrap()
+        .pack
+        .clone();
+    pack.epochs = 6;
+    pack.shard_size = 64;
+    for b in &mut pack.blocks {
+        b.count = b.count.min(160);
+    }
+    pack.validate().unwrap();
+    pack
+}
+
+#[test]
+fn checked_in_v2_checkpoint_resumes_to_the_pinned_report() {
+    let pack = fixture_pack();
+    // The fixture was written by an earlier build from exactly this pack,
+    // mid-epoch, after a supervised run that retried 11 injected panics;
+    // it pins the on-disk format, so a layout change must keep reading it.
+    // If the pack fingerprint drifts the fixture must be regenerated,
+    // not the assertion loosened.
+    assert_eq!(
+        pack.fingerprint(),
+        0x4ead_0290_239e_00b1,
+        "fixture pack drifted"
+    );
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/scenario_v2.dhsp");
+    assert_eq!(std::fs::read(&fixture).unwrap()[4..12], 2u64.to_le_bytes());
+    let mut resumed = ScenarioRun::resume_from(pack.clone(), &fixture).expect("v2 decodes");
+    let p = resumed.progress();
+    assert_eq!((p.epoch, p.shard_cursor, p.shards), (2, 2, 6));
+    assert_eq!(resumed.degraded.retries, 11, "the v2 degraded section");
+    resumed.run_to_end();
+    let report = resumed.report();
+    assert_eq!(
+        report,
+        dh_scenario::run_pack(pack),
+        "v2 resume vs fresh run"
+    );
+    assert_eq!(
+        report.fingerprint, 0x36b6_585a_546d_6ef0,
+        "pinned v2-resume report fingerprint"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every single-bit flip and every truncation of a `DHSP` v3 file is
+    /// refused as corrupt: the word-wise checksum sees any one-word
+    /// change, and every other field is checked before it is trusted.
+    #[test]
+    fn checkpoint_bit_flips_and_truncations_are_typed_errors(
+        damage in 0u64..u64::MAX,
+        mode in 0u8..2,
+    ) {
+        let truncate = mode == 1;
+        let pack = fixture_pack();
+        let mut run = ScenarioRun::new(pack.clone());
+        run.step(3);
+        let mut bytes = run.encode_checkpoint();
+        prop_assert!(bytes[4..12] == 3u64.to_le_bytes());
+        let at = (damage % bytes.len() as u64) as usize;
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= 1 << ((damage >> 32) % 8);
+        }
+        let decoded = ScenarioRun::decode_checkpoint(pack, &bytes);
+        prop_assert!(
+            matches!(decoded, Err(ScenarioError::Corrupt(_))),
+            "{} at byte {at}: {:?}",
+            if truncate { "truncation" } else { "bit flip" },
+            decoded.err()
+        );
+    }
+}
