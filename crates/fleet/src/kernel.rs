@@ -128,25 +128,23 @@ fn recover_chip(
 }
 
 dh_simd::dispatch! {
-    /// Steps every live chip in `[glo, ghi)` through one epoch
-    /// (`ChipState::step` on columns). `selected` is group-local (index
-    /// `i - glo`) and says which chips hold a recovery slot this epoch.
-    /// Returns how many chips failed during this sweep.
+    /// Steps every live chip of the group store through one epoch
+    /// (`ChipState::step` on columns). `selected[i]` says whether chip
+    /// `i` holds a recovery slot this epoch. Returns how many chips
+    /// failed during this sweep.
     pub(crate) fn epoch_step_columns(
         store: &mut ChipStore,
         ctx: ColumnarCtx,
-        glo: usize,
-        ghi: usize,
         selected: &[bool],
         epoch_index: u64,
     ) -> u64 {
         let mut newly_failed = 0u64;
-        for i in glo..ghi {
+        for (i, &heal) in selected[..store.len].iter().enumerate() {
             if store.failed_epoch[i] != ALIVE {
                 continue;
             }
             let flags = store.flags[i];
-            if selected[i - glo] {
+            if heal {
                 store.healed[i] += 1;
                 if flags & F_DEEP_NOOP == 0 {
                     recover_chip(
@@ -200,24 +198,21 @@ dh_simd::dispatch! {
 
 dh_simd::dispatch! {
     /// Re-reads every live chip's wear sensor (`ChipState::sense` on
-    /// columns). `fault_code` and `newly` are group-local; `newly[j]` is
-    /// set on the epoch chip `glo + j`'s sensor is first flagged, and the
-    /// host turns those marks into [`dh_fault::SensorIncident`]s in chip
-    /// order. Only runs under a fault plan — fault-free runs never call
-    /// it, exactly like the reference.
+    /// columns). `newly[i]` is set on the epoch chip `i`'s sensor is
+    /// first flagged, and the host turns those marks into
+    /// [`dh_fault::SensorIncident`]s in chip order. Only runs under a
+    /// fault plan — fault-free runs never call it, exactly like the
+    /// reference.
     pub(crate) fn sensor_sweep_columns(
         store: &mut ChipStore,
-        glo: usize,
-        ghi: usize,
         fault_code: &[u8],
         newly: &mut [u8],
     ) {
-        for i in glo..ghi {
+        for (i, &code) in fault_code[..store.len].iter().enumerate() {
             if store.failed_epoch[i] != ALIVE {
                 continue;
             }
-            let j = i - glo;
-            let reading = match fault_code[j] {
+            let reading = match code {
                 FAULT_STUCK => 0.0,
                 FAULT_DROPPED => f64::NAN,
                 _ => store.score[i],
@@ -230,7 +225,7 @@ dh_simd::dispatch! {
             }
             if store.flagged[i] == 0 && store.stale[i] >= SENSOR_STALE_EPOCHS {
                 store.flagged[i] = 1;
-                newly[j] = 1;
+                newly[i] = 1;
             }
         }
     }
@@ -258,7 +253,7 @@ mod tests {
             store.reset(&config, &ctx, 0, 16);
             let selected: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
             for e in 0..32 {
-                epoch_step_columns(&mut store, ctx, 0, 16, &selected, e);
+                epoch_step_columns(&mut store, ctx, &selected, e);
             }
             dh_simd::force_scalar(false);
             store

@@ -10,6 +10,7 @@
 //! tradeoff lifted from one chip's cores to a fleet's chips.
 
 use crate::chip::ChipState;
+use crate::store::{ChipStore, ALIVE};
 
 /// How many chips per maintenance group may enter BTI/EM active recovery
 /// in one epoch.
@@ -136,27 +137,25 @@ impl FleetPolicy {
 }
 
 impl FleetPolicy {
-    /// [`FleetPolicy::select`] over [`crate::store::ChipStore`] column
-    /// slices: same slot assignment, same tie-breaks, but ranking reads
-    /// the score/flagged columns directly and reuses the caller's
-    /// `ranked` scratch so the hot loop allocates nothing. `alive` is
-    /// the group's `failed_epoch` column ([`crate::store::ALIVE`] =
-    /// still alive).
-    #[allow(clippy::too_many_arguments)]
+    /// [`FleetPolicy::select`] over a group's [`ChipStore`]: same slot
+    /// assignment, same tie-breaks, but ranking reads the score/flagged
+    /// columns directly and reuses the caller's `ranked` scratch so the
+    /// hot loop allocates nothing.
     pub(crate) fn select_columnar(
         self,
         epoch: u64,
         budget: MaintenanceBudget,
-        alive: &[u32],
-        score: &[f64],
-        flagged: &[u8],
+        store: &ChipStore,
         selected: &mut [bool],
         ranked: &mut Vec<u32>,
     ) -> u64 {
-        debug_assert_eq!(alive.len(), selected.len());
+        let n = store.len;
+        debug_assert_eq!(n, selected.len());
+        let alive = &store.failed_epoch[..n];
+        let score = &store.score[..n];
+        let flagged = &store.flagged[..n];
         selected.fill(false);
-        let n = alive.len();
-        let is_alive = |i: usize| alive[i] == crate::store::ALIVE;
+        let is_alive = |i: usize| alive[i] == ALIVE;
         let slots = (budget.slots_per_group as usize).min(n);
         if slots == 0 {
             return 0;
@@ -165,7 +164,7 @@ impl FleetPolicy {
         match self {
             Self::Static => {
                 for (i, slot) in selected.iter_mut().enumerate().take(slots) {
-                    if alive[i] == crate::store::ALIVE {
+                    if alive[i] == ALIVE {
                         *slot = true;
                         healed += 1;
                     }

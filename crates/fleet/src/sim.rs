@@ -45,7 +45,17 @@ use crate::kernel::{
 };
 use crate::policy::{FleetPolicy, MaintenanceBudget};
 use crate::stats::{StreamingSummary, SummaryStats};
-use crate::store::{ChipStore, ColumnarCtx, StoreView, ALIVE};
+use crate::store::{ChipStore, ColumnarCtx, ShardOutcomes, StoreView, ALIVE};
+
+/// Largest accepted `shard_size`: bounds one shard's outcome columns
+/// (20 B per chip) and the fold granularity. Also the cap
+/// [`FleetConfig::auto_shard_size`] applies; its value is part of every
+/// auto-sized config's fingerprint, so it must not change.
+const MAX_SHARD_SIZE: u64 = 65_536;
+
+/// Largest accepted `group_size`: a group's working store is 42 columns,
+/// about 300 B per chip, so 4,096 chips keep it near 1.2 MiB.
+const MAX_GROUP_SIZE: u64 = 4_096;
 
 /// Everything that defines a fleet run. Two configs with the same
 /// [`FleetConfig::fingerprint`] produce byte-identical reports.
@@ -59,10 +69,11 @@ pub struct FleetConfig {
     pub years: f64,
     /// Scheduling epoch (one maintenance-window cadence).
     pub epoch: Seconds,
-    /// Chips per shard (work/checkpoint granularity; must be a multiple
-    /// of `group_size`). Has **no effect** on the report.
+    /// Chips per shard (work/checkpoint granularity; a multiple of
+    /// `group_size`, at most 65,536). Has **no effect** on the report.
     pub shard_size: u64,
-    /// Chips per maintenance group (a rack sharing one recovery window).
+    /// Chips per maintenance group (a rack sharing one recovery window;
+    /// at most 4,096).
     pub group_size: u64,
     /// The recovery-policy mix: group *g* runs `policies[g % len]`, so a
     /// heterogeneous fleet can A/B schedulers in one run.
@@ -129,13 +140,31 @@ impl FleetConfig {
         if self.epoch.value() <= 0.0 {
             return bad("epoch must be positive".into());
         }
-        if self.group_size == 0 {
-            return bad("group_size must be positive".into());
+        // The per-chip epoch counters are u32 columns with u32::MAX as
+        // the alive sentinel.
+        if self.total_epochs() >= u64::from(u32::MAX) {
+            return bad(format!(
+                "years / epoch gives {} epochs; at most {} are supported",
+                self.total_epochs(),
+                u32::MAX - 1
+            ));
+        }
+        if self.group_size == 0 || self.group_size > MAX_GROUP_SIZE {
+            return bad(format!(
+                "group_size must be in 1..={MAX_GROUP_SIZE}, got {}",
+                self.group_size
+            ));
         }
         if self.shard_size == 0 || !self.shard_size.is_multiple_of(self.group_size) {
             return bad(format!(
                 "shard_size {} must be a positive multiple of group_size {}",
                 self.shard_size, self.group_size
+            ));
+        }
+        if self.shard_size > MAX_SHARD_SIZE {
+            return bad(format!(
+                "shard_size must be at most {MAX_SHARD_SIZE}, got {}",
+                self.shard_size
             ));
         }
         if self.policies.is_empty() {
@@ -204,15 +233,18 @@ impl FleetConfig {
 
     /// Picks a shard size for `workers` parallel workers: about four
     /// shards per worker so the reorder fold never starves behind one
-    /// slow shard, rounded up to whole maintenance groups and capped so
-    /// one shard's columns stay cache-resident. `shard_size` has no
-    /// effect on the report — this is purely a throughput knob, and the
-    /// fleet bin / benches use it as their default.
+    /// slow shard, rounded up to whole maintenance groups and capped at
+    /// 65,536 chips, which bounds one shard's outcome columns (~1.25 MiB)
+    /// and the fold granularity. (The working set that stays
+    /// cache-resident is the per-group store, whatever the shard size.)
+    /// `shard_size` has no effect on the report — this is purely a
+    /// throughput knob, and the fleet bin / benches use it as their
+    /// default.
     pub fn auto_shard_size(&self, workers: usize) -> u64 {
         let workers = workers.max(1) as u64;
         let target = self.devices.div_ceil(workers * 4).max(1);
         let groups = target.div_ceil(self.group_size);
-        let cap_groups = (65_536 / self.group_size).max(1);
+        let cap_groups = (MAX_SHARD_SIZE / self.group_size).max(1);
         groups.min(cap_groups) * self.group_size
     }
 
@@ -369,14 +401,17 @@ fn simulate_shard_reference(
     }
 }
 
-/// One shard's reusable working set: the columnar [`ChipStore`] plus
+/// One shard's reusable working set: the shard's [`ShardOutcomes`], the
+/// group-sized [`ChipStore`] each maintenance group is stepped in, and
 /// every scratch buffer the epoch loop needs. Slabs live in the
 /// [`FleetRun`] pool and are recycled across shards, so steady-state
-/// simulation performs no per-shard allocation — shards are zero-copy
-/// column-range views over the store, never materialized `ChipState`s
-/// or per-shard outcome `Vec`s.
+/// simulation performs no per-shard allocation and never materializes
+/// `ChipState`s or per-chip outcome structs.
 #[derive(Debug, Default)]
 struct ShardSlab {
+    /// The shard's result columns, filled group by group.
+    outcomes: ShardOutcomes,
+    /// Working store of the group being stepped.
     store: ChipStore,
     /// Group-local slot assignment for the current epoch.
     selected: Vec<bool>,
@@ -403,10 +438,12 @@ fn lock_pool(pool: &Mutex<Vec<ShardSlab>>) -> MutexGuard<'_, Vec<ShardSlab>> {
 }
 
 /// [`simulate_shard_reference`] on the columnar store: every maintenance
-/// group of shard `shard`, stepped through the full lifetime by the
-/// [`crate::kernel`] column sweeps. Pure in `(config, shard)`; the slab
-/// only provides reusable capacity. Bit-identical to the reference path
-/// by construction (same operations in the same order per chip).
+/// group of shard `shard` is reset into the slab's group store, stepped
+/// through the full lifetime by the [`crate::kernel`] column sweeps, and
+/// appended to the slab's [`ShardOutcomes`]. Pure in `(config, shard)`;
+/// the slab only provides reusable capacity. Bit-identical to the
+/// reference path by construction (same operations in the same order
+/// per chip).
 fn simulate_shard_columnar(
     config: &FleetConfig,
     cctx: &ColumnarCtx,
@@ -417,19 +454,18 @@ fn simulate_shard_columnar(
     let lo = shard * config.shard_size;
     let hi = (lo + config.shard_size).min(config.devices);
     let epochs = config.total_epochs();
-    slab.store.reset(config, cctx, lo, hi);
+    slab.outcomes.reset(lo, hi);
     slab.budget_slots = 0;
     slab.incidents.clear();
 
     let mut group_lo = lo;
     while group_lo < hi {
         let group_hi = (group_lo + config.group_size).min(hi);
-        let glo = (group_lo - lo) as usize;
-        let ghi = (group_hi - lo) as usize;
-        let len = ghi - glo;
+        let len = (group_hi - group_lo) as usize;
         let group_index = group_lo / config.group_size;
         let policy = config.policies[(group_index % config.policies.len() as u64) as usize];
 
+        slab.store.reset(config, cctx, group_lo, group_hi);
         slab.selected.clear();
         slab.selected.resize(len, false);
         if let Some(p) = plan {
@@ -456,19 +492,17 @@ fn simulate_shard_columnar(
             let healed = policy.select_columnar(
                 epoch,
                 config.budget,
-                &slab.store.failed_epoch[glo..ghi],
-                &slab.store.score[glo..ghi],
-                &slab.store.flagged[glo..ghi],
+                &slab.store,
                 &mut slab.selected,
                 &mut slab.ranked,
             );
             slab.budget_slots += config.budget.slots_per_group.min(len as u64);
             dh_obs::counter!("fleet.chips_healed").add(healed);
-            alive -= epoch_step_columns(&mut slab.store, *cctx, glo, ghi, &slab.selected, epoch);
+            alive -= epoch_step_columns(&mut slab.store, *cctx, &slab.selected, epoch);
             if plan.is_some() {
                 slab.newly.clear();
                 slab.newly.resize(len, 0);
-                sensor_sweep_columns(&mut slab.store, glo, ghi, &slab.fault_code, &mut slab.newly);
+                sensor_sweep_columns(&mut slab.store, &slab.fault_code, &mut slab.newly);
                 for (j, &mark) in slab.newly.iter().enumerate() {
                     if mark != 0 {
                         slab.incidents.push(SensorIncident {
@@ -483,19 +517,20 @@ fn simulate_shard_columnar(
                 }
             }
         }
+        slab.outcomes.push_group(&slab.store);
         group_lo = group_hi;
     }
 }
 
-/// [`poison_outcomes`] against the columnar store: overwrites the same
+/// [`poison_outcomes`] against the columnar results: overwrites the same
 /// chips' guardband column entries the reference path would poison.
-fn poison_store(plan: &FaultPlan, shard: u64, attempt: u32, store: &mut ChipStore) {
-    if let Some((offset, kind)) = plan.poison(shard, attempt, store.len as u64) {
-        store.guardband[offset as usize] = kind.value();
+fn poison_store(plan: &FaultPlan, shard: u64, attempt: u32, out: &mut ShardOutcomes) {
+    if let Some((offset, kind)) = plan.poison(shard, attempt, out.len as u64) {
+        out.guardband[offset as usize] = kind.value();
     }
     if let Some(target) = plan.poisoned_chip() {
-        if target >= store.lo && target < store.lo + store.len as u64 {
-            store.guardband[(target - store.lo) as usize] = f64::NAN;
+        if target >= out.lo && target < out.lo + out.len as u64 {
+            out.guardband[(target - out.lo) as usize] = f64::NAN;
         }
     }
 }
@@ -516,19 +551,19 @@ fn poison_outcomes(plan: &FaultPlan, shard: u64, attempt: u32, outcomes: &mut [C
     }
 }
 
-/// Reconstructs chip `k`'s [`ChipOutcome`] from the store columns — on
-/// the stack, at fold time, so the columnar engine never materializes
-/// per-shard outcome `Vec`s. The TTF product `epochs_run * epoch` is the
-/// same f64 multiply the reference performs at failure time, so the
-/// reconstruction is bit-exact.
-fn chip_outcome(store: &ChipStore, k: usize, epoch_s: f64) -> ChipOutcome {
+/// Reconstructs chip `k`'s [`ChipOutcome`] from the shard's result
+/// columns — on the stack, at fold time, so the columnar engine never
+/// materializes per-chip outcome structs. The TTF product
+/// `epochs_run * epoch` is the same f64 multiply the reference performs
+/// at failure time, so the reconstruction is bit-exact.
+fn chip_outcome(out: &ShardOutcomes, k: usize, epoch_s: f64) -> ChipOutcome {
     ChipOutcome {
-        index: store.lo + k as u64,
-        guardband: store.guardband[k],
-        ttf: (store.failed_epoch[k] != ALIVE)
-            .then(|| Seconds::new(f64::from(store.epochs_run[k]) * epoch_s)),
-        epochs_run: u64::from(store.epochs_run[k]),
-        healed_epochs: u64::from(store.healed[k]),
+        index: out.lo + k as u64,
+        guardband: out.guardband[k],
+        ttf: (out.failed_epoch[k] != ALIVE)
+            .then(|| Seconds::new(f64::from(out.epochs_run[k]) * epoch_s)),
+        epochs_run: u64::from(out.epochs_run[k]),
+        healed_epochs: u64::from(out.healed[k]),
     }
 }
 
@@ -544,16 +579,16 @@ fn fold_slab_strict(
     epoch_s: f64,
     error: &mut Option<FleetError>,
 ) {
-    let store = &slab.store;
-    for k in 0..store.len {
-        if let Err(e) = acc.fold_chip(shard_index, &chip_outcome(store, k, epoch_s)) {
+    let out = &slab.outcomes;
+    for k in 0..out.len {
+        if let Err(e) = acc.fold_chip(shard_index, &chip_outcome(out, k, epoch_s)) {
             *error = Some(e);
             return;
         }
     }
     acc.budget_chip_epochs += slab.budget_slots;
     dh_obs::counter!("fleet.shards_folded").incr();
-    dh_obs::counter!("fleet.devices_folded").add(store.len as u64);
+    dh_obs::counter!("fleet.devices_folded").add(out.len as u64);
 }
 
 /// The O(1)-per-fleet streaming state every chip outcome folds into, in
@@ -779,7 +814,7 @@ impl FleetRun {
     /// render per-shard summaries for its progress endpoint.
     pub fn with_store_views<R>(&self, f: impl FnOnce(&[StoreView<'_>]) -> R) -> R {
         let pool = lock_pool(&self.pool);
-        let views: Vec<StoreView<'_>> = pool.iter().map(|slab| slab.store.view()).collect();
+        let views: Vec<StoreView<'_>> = pool.iter().map(|slab| slab.outcomes.view()).collect();
         f(&views)
     }
 
@@ -885,17 +920,17 @@ impl FleetRun {
                 let mut slab = lock_pool(pool).pop().unwrap_or_default();
                 simulate_shard_columnar(config, cctx, shard, plan, &mut slab);
                 if let Some(p) = plan {
-                    poison_store(p, shard, attempt, &mut slab.store);
+                    poison_store(p, shard, attempt, &mut slab.outcomes);
                 }
                 slab
             },
             (),
             |(), i, slab| {
                 let shard_index = first + i as u64;
-                let store = &slab.store;
-                for k in 0..store.len {
+                let out = &slab.outcomes;
+                for k in 0..out.len {
                     if acc
-                        .fold_chip(shard_index, &chip_outcome(store, k, epoch_s))
+                        .fold_chip(shard_index, &chip_outcome(out, k, epoch_s))
                         .is_err()
                     {
                         degraded.rejected_samples += 1;
@@ -907,7 +942,7 @@ impl FleetRun {
                     .extend(slab.incidents.iter().cloned());
                 acc.budget_chip_epochs += slab.budget_slots;
                 dh_obs::counter!("fleet.shards_folded").incr();
-                dh_obs::counter!("fleet.devices_folded").add(store.len as u64);
+                dh_obs::counter!("fleet.devices_folded").add(out.len as u64);
                 lock_pool(pool).push(slab);
             },
             retry,
@@ -1515,19 +1550,22 @@ mod tests {
         assert_eq!(run.degraded().quarantined.len(), 1);
     }
 
+    /// Asserts that the default config, changed by `mutate`, fails
+    /// validation with an error naming `needle`.
+    fn assert_rejects(mutate: &dyn Fn(&mut FleetConfig), needle: &str) {
+        let mut c = FleetConfig::default();
+        mutate(&mut c);
+        match c.validate() {
+            Err(FleetError::InvalidConfig(why)) => assert!(
+                why.contains(needle),
+                "error {why:?} does not name {needle:?}"
+            ),
+            other => panic!("expected InvalidConfig({needle}), got {other:?}"),
+        }
+    }
+
     #[test]
     fn non_finite_corner_parameters_are_rejected_at_the_boundary() {
-        let assert_rejects = |mutate: &dyn Fn(&mut FleetConfig), needle: &str| {
-            let mut c = FleetConfig::default();
-            mutate(&mut c);
-            match c.validate() {
-                Err(FleetError::InvalidConfig(why)) => assert!(
-                    why.contains(needle),
-                    "error {why:?} does not name {needle:?}"
-                ),
-                other => panic!("expected InvalidConfig({needle}), got {other:?}"),
-            }
-        };
         assert_rejects(&|c| c.vdd = Volts::new(f64::NAN), "vdd");
         assert_rejects(
             &|c| c.recovery_bias = Volts::new(f64::NEG_INFINITY),
@@ -1581,6 +1619,76 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(c.validate().is_err());
+        // Sizes a run would allocate or loop over are bounded up front.
+        assert_rejects(&|c| c.years = 1e300, "epochs");
+        assert_rejects(
+            &|c| {
+                c.epoch = Seconds::new(1e-3);
+                c.years = 1e3;
+            },
+            "epochs",
+        );
+        assert_rejects(
+            &|c| {
+                c.devices = 10u64.pow(15);
+                c.shard_size = 10u64.pow(15);
+            },
+            "shard_size",
+        );
+        assert_rejects(
+            &|c| c.shard_size = MAX_SHARD_SIZE + c.group_size,
+            "shard_size",
+        );
+        assert_rejects(
+            &|c| {
+                c.group_size = 2 * MAX_GROUP_SIZE;
+                c.shard_size = 2 * MAX_GROUP_SIZE;
+            },
+            "group_size",
+        );
+        // The caps themselves are accepted, and the auto-sizer never
+        // picks a shard the validator refuses.
+        let at_caps = FleetConfig {
+            devices: 1 << 20,
+            group_size: MAX_GROUP_SIZE,
+            shard_size: MAX_SHARD_SIZE,
+            ..FleetConfig::default()
+        };
+        assert!(at_caps.validate().is_ok());
+        assert_eq!(at_caps.auto_shard_size(1), MAX_SHARD_SIZE);
+    }
+
+    #[test]
+    fn store_views_summarize_the_last_folded_shard() {
+        let config = FleetConfig {
+            shard_size: 96,
+            years: 2.0,
+            // Low enough that part of the fleet fails inside the horizon.
+            fail_guardband: 0.0075,
+            ..tiny(FleetPolicy::WorstFirst)
+        };
+        let report = run_fleet(&config).unwrap();
+        let mut run = FleetRun::new(config).unwrap();
+        assert!(run.with_store_views(|views| views.is_empty()));
+        assert!(run.step(u64::MAX).unwrap());
+        let guardband_max = report.guardband.max;
+        run.with_store_views(|views| {
+            assert_eq!(views.len(), 1, "one shard, one slab");
+            let v = views[0];
+            assert_eq!(v.lo(), 0);
+            assert_eq!(v.len() as u64, report.devices);
+            assert_eq!(v.failed() as u64, report.failed);
+            assert_eq!(v.alive() as u64, report.devices - report.failed);
+            assert_eq!(v.healed_epochs(), report.healed_chip_epochs);
+            assert_eq!(v.chip_epochs(), report.chip_epochs);
+            assert_eq!(v.worst_guardband().to_bits(), guardband_max.to_bits());
+        });
+        assert!(
+            report.failed > 0 && report.failed < report.devices,
+            "{} of {} failed",
+            report.failed,
+            report.devices
+        );
     }
 
     #[test]

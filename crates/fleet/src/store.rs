@@ -1,15 +1,22 @@
 //! The columnar (SoA) chip-state substrate the epoch kernels sweep.
 //!
-//! [`ChipStore`] holds one contiguous column per chip field for a whole
-//! shard, padded to the `dh-simd` lane width, so the epoch loop touches
-//! memory linearly instead of hopping across `ChipState` structs. Every
-//! value a chip needs that is *constant over its lifetime* — stress
-//! durations, EM damage increments, relaxation θ's, the soft-anneal and
-//! hardening exponentials — is hoisted into per-chip constant columns at
-//! [`ChipStore::reset`] time, leaving the per-epoch kernels with pure
-//! column arithmetic plus the two genuinely state-dependent
-//! transcendentals (the stress power law and the universal-relaxation
-//! curve).
+//! State is split by lifetime. [`ChipStore`] is the working store of
+//! **one maintenance group**: one contiguous column per chip field,
+//! padded to the `dh-simd` lane width, so the epoch loop touches memory
+//! linearly instead of hopping across `ChipState` structs. At about
+//! 300 B per chip (~19 KiB for the default 64-chip group) it stays in
+//! L1/L2 for every epoch of the group. Every value a chip needs that is *constant
+//! over its lifetime* — stress durations, EM damage increments,
+//! relaxation θ's, the soft-anneal and hardening exponentials — is
+//! hoisted into per-chip constant columns at [`ChipStore::reset`] time,
+//! leaving the per-epoch kernels with pure column arithmetic plus the
+//! two genuinely state-dependent transcendentals (the stress power law
+//! and the universal-relaxation curve).
+//!
+//! [`ShardOutcomes`] outlives the groups: the four result columns of a
+//! whole shard (20 B per chip), which each group appends to when it
+//! finishes and which the fold, the fault-injection poisoning and
+//! [`StoreView`] read.
 //!
 //! The columnar kernels in [`crate::kernel`] replicate the scalar
 //! reference ([`crate::chip::ChipState`]) **operation for operation**:
@@ -91,15 +98,15 @@ impl ColumnarCtx {
     }
 }
 
-/// One shard's chip state as structure-of-arrays columns.
+/// One maintenance group's chip state as structure-of-arrays columns.
 ///
 /// Columns are plain `Vec`s (8-byte aligned, padded to a
-/// [`dh_simd::LANES`] multiple) reused across shards via the
+/// [`dh_simd::LANES`] multiple) reused across groups and shards via the
 /// [`crate::sim::FleetRun`] slab pool, so steady-state simulation
 /// allocates nothing. The first block is live state the kernels mutate;
 /// the second block is per-chip constants hoisted at reset.
 pub(crate) struct ChipStore {
-    /// First global chip index covered by this store.
+    /// First global chip index of the group.
     pub lo: u64,
     /// Chips in `[lo, lo + len)`; columns may be padded past this.
     pub len: usize,
@@ -182,6 +189,67 @@ pub(crate) struct ChipStore {
     pub hf_h: Vec<f64>,
     /// Guard / segment-compatibility bits (`F_*`).
     pub flags: Vec<u32>,
+}
+
+/// One shard's per-chip results: the four columns that outlive the
+/// group working store. Each finished group appends its chips in order
+/// ([`ShardOutcomes::push_group`]), so a completed shard holds exactly
+/// `len` entries per column, in canonical chip order.
+#[derive(Debug, Default)]
+pub(crate) struct ShardOutcomes {
+    /// First global chip index of the shard.
+    pub lo: u64,
+    /// Chips in the shard.
+    pub len: usize,
+    /// Worst frequency degradation observed (required guardband).
+    pub guardband: Vec<f64>,
+    /// Epoch index the chip failed at; [`ALIVE`] if it never did.
+    pub failed_epoch: Vec<u32>,
+    /// Epochs granted a recovery slot.
+    pub healed: Vec<u32>,
+    /// Epochs stepped.
+    pub epochs_run: Vec<u32>,
+}
+
+impl ShardOutcomes {
+    /// Empties the columns for the chips `[lo, hi)`, keeping capacity
+    /// from the previous shard.
+    pub(crate) fn reset(&mut self, lo: u64, hi: u64) {
+        self.lo = lo;
+        self.len = (hi - lo) as usize;
+        self.guardband.clear();
+        self.failed_epoch.clear();
+        self.healed.clear();
+        self.epochs_run.clear();
+        self.guardband.reserve(self.len);
+        self.failed_epoch.reserve(self.len);
+        self.healed.reserve(self.len);
+        self.epochs_run.reserve(self.len);
+    }
+
+    /// Appends a finished group's results. Groups must arrive in chip
+    /// order, starting at `lo`.
+    pub(crate) fn push_group(&mut self, group: &ChipStore) {
+        debug_assert_eq!(group.lo, self.lo + self.guardband.len() as u64);
+        let n = group.len;
+        self.guardband.extend_from_slice(&group.guardband[..n]);
+        self.failed_epoch
+            .extend_from_slice(&group.failed_epoch[..n]);
+        self.healed.extend_from_slice(&group.healed[..n]);
+        self.epochs_run.extend_from_slice(&group.epochs_run[..n]);
+    }
+
+    /// Borrows the result columns as a read-only [`StoreView`].
+    pub(crate) fn view(&self) -> StoreView<'_> {
+        StoreView {
+            lo: self.lo,
+            len: self.len,
+            guardband: &self.guardband,
+            failed_epoch: &self.failed_epoch,
+            healed: &self.healed,
+            epochs_run: &self.epochs_run,
+        }
+    }
 }
 
 /// A read-only view over one shard slab's result columns: the snapshot
@@ -319,18 +387,6 @@ macro_rules! for_each_f64_column {
 }
 
 impl ChipStore {
-    /// Borrows the result columns as a read-only [`StoreView`].
-    pub(crate) fn view(&self) -> StoreView<'_> {
-        StoreView {
-            lo: self.lo,
-            len: self.len,
-            guardband: &self.guardband,
-            failed_epoch: &self.failed_epoch,
-            healed: &self.healed,
-            epochs_run: &self.epochs_run,
-        }
-    }
-
     pub(crate) fn new() -> Self {
         Self {
             lo: 0,
@@ -380,13 +436,13 @@ impl ChipStore {
         }
     }
 
-    /// (Re)initializes the store for the chips `[lo, hi)` of `config`,
-    /// reusing column capacity from the previous shard. Hoists every
+    /// (Re)initializes the store for the group `[lo, hi)` of `config`,
+    /// reusing column capacity from the previous group. Hoists every
     /// lifetime-constant per-chip value the epoch kernels need.
     pub(crate) fn reset(&mut self, config: &FleetConfig, cctx: &ColumnarCtx, lo: u64, hi: u64) {
         let len = (hi - lo) as usize;
         // Pad to the SIMD lane width so column tails autovectorize
-        // without a scalar epilogue crossing into the next shard's data.
+        // without a scalar epilogue.
         let padded = len.div_ceil(dh_simd::LANES) * dh_simd::LANES;
         self.lo = lo;
         self.len = len;

@@ -484,6 +484,10 @@ mod tests {
             r#"{"config": {"devices": 64, "heal_fraction": 1.5}}"#,
             r#"{"config": {"devices": 64, "fail_guardband": 0}}"#,
             r#"{"config": {"devices": 64, "shard_size": 100, "group_size": 64}}"#,
+            r#"{"config": {"devices": 64, "years": 1e300}}"#,
+            r#"{"config": {"devices": 1000000000000000, "shard_size": 1000000000000000}}"#,
+            r#"{"config": {"devices": 131072, "shard_size": 131072}}"#,
+            r#"{"config": {"devices": 64, "shard_size": 8192, "group_size": 8192}}"#,
             r#"{"config": {"devices": 64, "policies": ["best-effort"]}}"#,
             r#"{"config": {"devices": 64}, "inject": "gremlins=1"}"#,
             r#"{"config": {"devices": 64}, "retry": 0}"#,
